@@ -270,6 +270,10 @@ def cmd_correct(args) -> int:
                           for s, r in zip(samples, results)])
     _log(f"correct: variant={args.variant} filter={args.filter} "
          f"WER={report.wer_percent:.2f} SER={report.ser_percent:.2f}")
+    for r in results:
+        for p in r.passthroughs:
+            _log(f"correct: sample {r.sample_id}: {p.stage} input of {p.length} tokens "
+                 f"exceeds max_len {p.max_len}, passed through unchanged")
     return 0
 
 

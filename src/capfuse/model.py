@@ -265,8 +265,15 @@ class EncoderDecoderModel:
         return x
 
     def decode_batch(self, tgt_in: np.ndarray, enc_out: Tensor,
-                     src: np.ndarray) -> Tensor:
-        """Decoder stack: (B x T) ids against encoder output; returns logits."""
+                     src: np.ndarray, last_only: bool = False) -> Tensor:
+        """Decoder stack: (B x T) ids against encoder output; returns logits.
+
+        The logits are (B x T x V), or (B x 1 x V) for the last position
+        alone with ``last_only``, which is for decoding under ``no_grad``.
+        """
+        if last_only and ag.grad_enabled():
+            raise ValueError("decode_batch: last_only is not differentiable; "
+                             "call it under no_grad")
         tgt_pad = tgt_in == PAD_ID
         x = self._embed(tgt_in)
         self_mask = self._causal_mask(tgt_pad)
@@ -284,18 +291,30 @@ class EncoderDecoderModel:
             ffn = self._maybe_dropout(self._affine(f"{base}.ffn2", hidden))
             x = ag.layer_norm(ag.add(x, ffn),
                               self.params[f"{base}.ln3.g"], self.params[f"{base}.ln3.b"])
-        return self._affine("out", x)
+        b, length, d = x.shape
+        if not last_only or length == 1:
+            return self._affine("out", x)
+        # The last two positions of every row, as one (2B x d) matrix: the
+        # product stays matrix-matrix, as it is for the full (B x T x d)
+        # input, so each last row is bit-identical to the full projection's,
+        # while one row alone would take BLAS's matrix-vector kernel, which
+        # rounds differently.
+        logits = self._affine("out", Tensor(x.data[:, -2:].reshape(2 * b, d)))
+        return Tensor(logits.data[1::2, None])
 
     def encode(self, src: TokenSequence,
                image: Optional[ImageFeature] = None) -> Tensor:
         """Single-sequence encoder output with shape (L x d_model)."""
-        ids = np.asarray([src.ids], dtype=np.int64)
-        features = None
-        if self.fusion is not None:
-            feat = image if image is not None else zero_feature(self.fusion.d_img)
-            features = feat.vector[None, :]
-        out = self.encode_batch(ids, features)
+        out = self.encode_batch(np.asarray([src.ids], dtype=np.int64),
+                                self._single_features(image))
         return ag.reshape(out, out.shape[1:])
+
+    def _single_features(self, image: Optional[ImageFeature]) -> Optional[np.ndarray]:
+        """(1 x d_img) fusion input for one sentence; no image is a zero feature."""
+        if self.fusion is None:
+            return None
+        feat = image if image is not None else zero_feature(self.fusion.d_img)
+        return feat.vector[None, :]
 
     # -- training --------------------------------------------------------
 
@@ -371,43 +390,42 @@ def generate(model: EncoderDecoderModel, src: TokenSequence, cfg: DecodeConfig,
 
 def _beam_search(model, src, cfg, image) -> TokenSequence:
     src_ids = np.asarray([src.ids], dtype=np.int64)
-    features = None
-    if model.fusion is not None:
-        feat = image if image is not None else zero_feature(model.fusion.d_img)
-        features = feat.vector[None, :]
-    enc_single = model.encode_batch(src_ids, features)
+    enc = model.encode_batch(src_ids, model._single_features(image)).data
 
-    live: List[Tuple[Tuple[int, ...], float]] = [((BOS_ID,), 0.0)]
-    finished: List[Tuple[float, Tuple[int, ...]]] = []
+    live = np.full((1, 1), BOS_ID, dtype=np.int64)  # (n_live x t) token ids
+    scores = np.zeros(1)
+    finished: List[Tuple[float, List[int]]] = []
     alpha = cfg.length_penalty
     # decoder input includes BOS, so it may grow to max_len - 1 new tokens
     max_steps = min(cfg.max_decode_len, model.config.max_len - 1)
 
     for _ in range(max_steps):
         n_live = len(live)
-        tgt = np.asarray([ids for ids, _ in live], dtype=np.int64)
-        enc_data = np.repeat(enc_single.data, n_live, axis=0)
-        src_rep = np.repeat(src_ids, n_live, axis=0)
-        logits = model.decode_batch(tgt, Tensor(enc_data), src_rep)
+        logits = model.decode_batch(live, Tensor(np.repeat(enc, n_live, axis=0)),
+                                    np.repeat(src_ids, n_live, axis=0), last_only=True)
         log_probs = _log_softmax_rows(logits.data[:, -1, :])
+        totals = (scores[:, None] + log_probs).ravel()
+        totals[np.isnan(totals)] = -np.inf  # NaN (diverged weights) ranks last
 
-        candidates: List[Tuple[float, Tuple[int, ...]]] = []
-        for b, (ids, score) in enumerate(live):
-            row = log_probs[b]
-            for token in range(row.shape[0]):
-                candidates.append((score + row[token], ids + (token,)))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+        # Every candidate scoring at least the k-th best, ties included,
+        # then higher score first and the lexicographically smaller id
+        # sequence among equal scores.
+        k = min(cfg.beam_size, totals.size)
+        kth = np.partition(totals, totals.size - k)[totals.size - k]
+        keep = np.flatnonzero(totals >= kth)
+        rows, tokens = np.divmod(keep, log_probs.shape[1])
+        order = np.lexsort((tokens, *live[rows].T[::-1], -totals[keep]))[: cfg.beam_size]
+        rows, tokens, best = rows[order], tokens[order], totals[keep[order]]
 
-        live = []
-        for score, ids in candidates[: cfg.beam_size]:
-            if ids[-1] == EOS_ID:
-                finished.append((_normalized(score, ids, alpha), ids))
-            else:
-                live.append((ids, score))
-        if not live:
+        grown = np.column_stack([live[rows], tokens])
+        done = tokens == EOS_ID
+        for ids, score in zip(grown[done].tolist(), best[done]):
+            finished.append((_normalized(score, ids, alpha), ids))
+        live, scores = grown[~done], best[~done]
+        if not len(live):
             break
 
-    for ids, score in live:  # hit the length cap without EOS
+    for ids, score in zip(live.tolist(), scores):  # hit the length cap without EOS
         finished.append((_normalized(score, ids, alpha), ids))
     finished.sort(key=lambda c: (-c[0], c[1]))
-    return TokenSequence.of(list(finished[0][1]))
+    return TokenSequence.of(finished[0][1])

@@ -4,6 +4,10 @@ sequential composition, and similarity-filtered change acceptance.
 The filter decides whole sentences: a fused output replaces its input
 text only when the image scores it strictly higher, so ties and absent
 images conservatively keep the earlier text.
+
+A stage whose encoded input is longer than its model's max_len outputs the
+hypothesis it was given (for the prompt stage, the source without its
+caption) and the result records the stage and both lengths.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from .fusion import ImageFeature, zero_feature
 from .model import DecodeConfig, EncoderDecoderModel, generate
@@ -65,6 +69,14 @@ class FilterDecision:
     score_changed: Optional[float]
 
 
+class Passthrough(NamedTuple):
+    """A stage that output its input because the input was too long."""
+
+    stage: str
+    length: int  # encoded input tokens, BOS and EOS included
+    max_len: int
+
+
 @dataclass
 class CorrectionResult:
     sample_id: str
@@ -72,9 +84,10 @@ class CorrectionResult:
     stage_outputs: List[Tuple[str, str]]
     final: str
     filter_decisions: List[FilterDecision] = field(default_factory=list)
+    passthroughs: List[Passthrough] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps({
+        raw = {
             "sample_id": self.sample_id,
             "original": self.original,
             "stage_outputs": [[name, text] for name, text in self.stage_outputs],
@@ -83,7 +96,10 @@ class CorrectionResult:
                 [d.action, d.score_original, d.score_changed]
                 for d in self.filter_decisions
             ],
-        }, ensure_ascii=False)
+        }
+        if self.passthroughs:  # absent otherwise, so other lines keep their bytes
+            raw["passthroughs"] = [list(p) for p in self.passthroughs]
+        return json.dumps(raw, ensure_ascii=False)
 
     @classmethod
     def from_json(cls, line: str) -> "CorrectionResult":
@@ -94,6 +110,7 @@ class CorrectionResult:
             stage_outputs=[(name, text) for name, text in raw["stage_outputs"]],
             final=raw["final"],
             filter_decisions=[FilterDecision(*d) for d in raw["filter_decisions"]],
+            passthroughs=[Passthrough(*p) for p in raw.get("passthroughs", [])],
         )
 
 
@@ -128,9 +145,14 @@ def filter_change_detail(provider: SimilarityProvider, feat: ImageFeature,
 
 
 def _decode_text(model: EncoderDecoderModel, vocab: Vocabulary, text: str,
-                 cfg: DecodeConfig, image: Optional[ImageFeature] = None) -> str:
+                 cfg: DecodeConfig, image: Optional[ImageFeature] = None
+                 ) -> Tuple[Optional[str], int]:
+    """(decoded text, encoded input length); the text is None when the
+    input is longer than the model's max_len."""
     ids = encode(text, vocab, add_bos_eos=True)
-    return decode_ids(generate(model, ids, cfg, image=image), vocab)
+    if len(ids.ids) > model.config.max_len:
+        return None, len(ids.ids)
+    return decode_ids(generate(model, ids, cfg, image=image), vocab), len(ids.ids)
 
 
 def run_variant(cfg: PipelineConfig, models: CorrectionModels,
@@ -160,6 +182,17 @@ def _run_sample(cfg: PipelineConfig, models: CorrectionModels,
     source = sample.source
     stages: List[Tuple[str, str]] = []
     decisions: List[FilterDecision] = []
+    passthroughs: List[Passthrough] = []
+
+    def run_stage(stage: str, model: EncoderDecoderModel, given: str, text: str,
+                  image: Optional[ImageFeature] = None) -> str:
+        """Decode ``text``; an over-length input outputs ``given`` instead."""
+        decoded, length = _decode_text(model, models.vocab, text, cfg.decode, image=image)
+        if decoded is None:
+            passthroughs.append(Passthrough(stage, length, model.config.max_len))
+            decoded = given
+        stages.append((stage, decoded))
+        return decoded
 
     if cfg.variant == "original":
         stages.append(("original", source))
@@ -168,12 +201,10 @@ def _run_sample(cfg: PipelineConfig, models: CorrectionModels,
 
     text = source
     if cfg.variant in ("transformer", "transformer_then_fusion"):
-        text = _decode_text(models.require("baseline"), models.vocab, text, cfg.decode)
-        stages.append(("transformer", text))
+        text = run_stage("transformer", models.require("baseline"), text, text)
     elif cfg.variant in ("prompt", "prompt_then_fusion"):
         prompted = build_prompted_source(sample.caption, text)
-        text = _decode_text(models.require("prompt"), models.vocab, prompted, cfg.decode)
-        stages.append(("prompt", text))
+        text = run_stage("prompt", models.require("prompt"), text, prompted)
 
     if cfg.variant in _FUSION_VARIANTS:
         fusion_model = models.require("fusion")
@@ -181,12 +212,11 @@ def _run_sample(cfg: PipelineConfig, models: CorrectionModels,
             raise ValueError("fusion model has no attached fusion layer")
         feat = _feature_for(sample, features, fusion_model.fusion.d_img)
         before = text
-        fused = _decode_text(fusion_model, models.vocab, before, cfg.decode, image=feat)
-        stages.append(("fusion", fused))
+        fused = run_stage("fusion", fusion_model, before, before, image=feat)
         if cfg.filter:
             text, decision = filter_change_detail(cfg.provider, feat, before, fused)
             decisions.append(decision)
         else:
             text = fused
 
-    return CorrectionResult(sample.id, source, stages, text, decisions)
+    return CorrectionResult(sample.id, source, stages, text, decisions, passthroughs)

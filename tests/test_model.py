@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -238,6 +241,90 @@ def test_exact_ties_break_toward_smaller_token_ids():
         out = generate(model, src,
                        DecodeConfig(beam_size=beam, max_decode_len=4))
         assert out.ids == [BOS_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
+
+
+def loop_beam_search(log_probs, beam_size, max_steps, alpha):
+    """The search over n_live x V Python candidates, for a model whose
+    next-token log-probabilities are the same vector at every step."""
+    live = [((BOS_ID,), 0.0)]
+    finished = []
+    for _ in range(max_steps):
+        candidates = [(score + log_probs[token], ids + (token,))
+                      for ids, score in live for token in range(len(log_probs))]
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        live = []
+        for score, ids in candidates[:beam_size]:
+            if ids[-1] == EOS_ID:
+                finished.append((score / max(len(ids) - 1, 1) ** alpha, ids))
+            else:
+                live.append((ids, score))
+        if not live:
+            break
+    finished += [(score / max(len(ids) - 1, 1) ** alpha, ids) for ids, score in live]
+    finished.sort(key=lambda c: (-c[0], c[1]))
+    return list(finished[0][1])
+
+
+def test_repeated_output_bias_ties_follow_score_then_smaller_ids():
+    # zero output weights: the logits are the bias at every row and step, and
+    # repeated bias values make exact ties within and across beams
+    model = tiny_model(seed=20)
+    model.params["out.w"].data[:] = 0.0
+    src = rand_seq(np.random.default_rng(20), 3)
+    bias = model.params["out.b"].data
+    bias[:] = np.where(np.arange(VOCAB_SIZE) % 3 == 2, 1.0, 0.0)  # EOS, 5, 8, 11
+    greedy = generate(model, src, DecodeConfig(beam_size=1, max_decode_len=4))
+    assert greedy.ids == [BOS_ID, EOS_ID]
+    rng = np.random.default_rng(20)
+    for _ in range(12):
+        bias[:] = rng.choice([-0.5, 0.0, 0.25, 0.75], size=VOCAB_SIZE)
+        shifted = bias - bias.max()
+        log_probs = shifted - np.log(np.exp(shifted).sum())
+        for beam in (1, 2, 4, 6):
+            for alpha in (0.0, 1.0):
+                cfg = DecodeConfig(beam_size=beam, max_decode_len=4, length_penalty=alpha)
+                assert generate(model, src, cfg).ids == \
+                    loop_beam_search(log_probs, beam, 4, alpha)
+
+
+def test_nan_logits_decode_without_error():
+    model = tiny_model(seed=21)
+    model.params["out.b"].data[:] = np.nan
+    src = rand_seq(np.random.default_rng(21), 3)
+    for beam in (1, 3):
+        out = generate(model, src, DecodeConfig(beam_size=beam, max_decode_len=4))
+        assert out.ids == [BOS_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
+
+
+def test_decoder_reproduces_golden_fixture():
+    # token ids the search returned before it selected candidates on arrays;
+    # tests/data/make_decode_golden.py wrote them
+    golden = json.loads((Path(__file__).parent / "data" / "decode_golden.json")
+                        .read_text(encoding="utf-8"))
+    for setting in golden["settings"]:
+        model = EncoderDecoderModel(ModelConfig(**setting["config"]))
+        model.params["out.b"].data[EOS_ID] = setting["eos_bias"]
+        for case in setting["cases"]:
+            for beam in golden["beams"]:
+                cfg = DecodeConfig(beam_size=beam, max_decode_len=setting["max_decode_len"])
+                out = generate(model, TokenSequence.of(case["src"]), cfg)
+                assert out.ids == case[f"beam{beam}"], (setting["config"]["seed"], beam)
+
+
+def test_last_only_logits_equal_full_last_position():
+    model = tiny_model(seed=22)
+    rng = np.random.default_rng(22)
+    for batch in (1, 3):
+        src = np.asarray([rand_seq(rng, 4).ids for _ in range(batch)])
+        with ag.no_grad():
+            enc = model.encode_batch(src)
+            for length in (1, 2, 5):
+                tgt = rng.integers(5, VOCAB_SIZE, size=(batch, length))
+                full = model.decode_batch(tgt, enc, src).data
+                last = model.decode_batch(tgt, enc, src, last_only=True).data
+                np.testing.assert_array_equal(last, full[:, -1:])
+    with pytest.raises(ValueError, match="no_grad"):
+        model.decode_batch(tgt, enc, src, last_only=True)
 
 
 def test_generate_terminates_at_max_decode_len():

@@ -7,8 +7,9 @@ from capfuse.metrics import corpus_eval, word_edit_distance
 from capfuse.model import DecodeConfig, EncoderDecoderModel, ModelConfig, train_step
 from capfuse.optim import Adam
 from capfuse.pipeline import (CorrectionModels, CorrectionResult, FilterDecision,
-                              PipelineConfig, filter_change, filter_change_detail,
-                              read_results, run_variant, write_results)
+                              Passthrough, PipelineConfig, filter_change,
+                              filter_change_detail, read_results, run_variant,
+                              write_results)
 from capfuse.text import build_vocab, encode
 
 DECODE = DecodeConfig(strategy="beam", beam_size=2, max_decode_len=8)
@@ -216,3 +217,44 @@ def test_results_file_roundtrip(tmp_path):
     write_results(path, results)
     loaded = read_results(path)
     assert loaded == results
+
+
+def test_results_without_passthrough_keep_their_serialization():
+    result = CorrectionResult(sample_id="s1", original="x", final="y",
+                              stage_outputs=[("transformer", "y")],
+                              filter_decisions=[FilterDecision("kept", 0.5, 0.4)])
+    assert result.to_json() == (
+        '{"sample_id": "s1", "original": "x", "stage_outputs": [["transformer", "y"]], '
+        '"final": "y", "filter_decisions": [["kept", 0.5, 0.4]]}')
+
+
+def test_overlong_prompted_sample_passes_through(vocab, meddling_fusion_model, tmp_path):
+    prompt_model = EncoderDecoderModel(ModelConfig(
+        vocab_size=len(vocab), d_model=16, n_heads=2, n_enc_layers=1,
+        n_dec_layers=1, ffn_dim=32, max_len=32, seed=23))
+    prompt_model.eval()
+    # 30 caption words + [SEP] + 2 source words + BOS and EOS = 35 tokens
+    long = SampleRecord(id="long", source="d e", reference="d f",
+                        caption=" ".join(["a"] * 30), image_feature_id="img2")
+    normal = _samples()
+    models = CorrectionModels(vocab=vocab, prompt=prompt_model,
+                              fusion=meddling_fusion_model)
+    for variant in ("prompt", "prompt_then_fusion"):
+        cfg = PipelineConfig(variant=variant, decode=DECODE)
+        results = run_variant(cfg, models, [normal[0], long, normal[1]],
+                              features=_features())
+        alone = run_variant(cfg, models, normal, features=_features())
+        assert [results[0], results[2]] == alone
+        assert all(not r.passthroughs for r in alone)
+        assert results[1].passthroughs == [Passthrough("prompt", 35, 32)]
+        assert results[1].stage_outputs[0] == ("prompt", "d e")
+        if variant == "prompt":
+            assert results[1].final == "d e"
+        else:  # the fusion stage decodes the source it was handed
+            fused = run_variant(PipelineConfig(variant="fusion", decode=DECODE),
+                                models, [long], features=_features())[0]
+            assert results[1].stage_outputs[1] == fused.stage_outputs[0]
+            assert results[1].final == fused.final
+        path = tmp_path / f"{variant}.jsonl"
+        write_results(path, results)
+        assert read_results(path) == results
