@@ -35,8 +35,8 @@ with ag.no_grad():
 fd = (up - down) / (2 * step)
 print(f"autograd {a.grad[0, 0]:+.8f} vs finite difference {fd:+.8f}")
 
-# --- named elementwise dispatch --------------------------------------------
-gate = ag.apply_elementwise("tanh", Tensor([[0.0, 1.0, -1.0]]))
+# --- elementwise ops are plain functions on same-shaped tensors ------------
+gate = ag.tanh(Tensor([[0.0, 1.0, -1.0]]))
 print(f"tanh([0, 1, -1]) = {np.round(gate.data, 4).tolist()}")
 
 # --- Adam walks a quadratic to its optimum ---------------------------------

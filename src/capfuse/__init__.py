@@ -6,8 +6,8 @@ sequential correction, dataset construction, and WER/SER evaluation.
 """
 
 from .autograd import (ComputationTape, GradientError, ShapeError, Tensor,
-                       apply_elementwise, backward, concat_last_dim,
-                       layer_norm, matmul, no_grad, softmax_cross_entropy)
+                       backward, concat_last_dim, layer_norm, matmul, no_grad,
+                       softmax_cross_entropy)
 from .checkpoint import average_checkpoints, load_checkpoint, save_checkpoint
 from .data import (NoiseConfig, SampleRecord, filter_by_similarity,
                    frame_midpoint, generate_synthetic, read_manifest,
@@ -16,8 +16,7 @@ from .fusion import GatedFusionLayer, ImageFeature, zero_feature
 from .metrics import EvalReport, corpus_eval, word_edit_distance
 from .model import DecodeConfig, EncoderDecoderModel, ModelConfig, generate, train_step
 from .optim import Adam
-from .pipeline import (CorrectionModels, CorrectionResult, PipelineConfig,
-                       filter_change, run_variant)
+from .pipeline import CorrectionModels, CorrectionResult, PipelineConfig, run_variant
 from .prompting import assign_random_captions, build_prompted_source, split_prompted_source
 from .similarity import CosineEmbeddingProvider, SimilarityProvider, cosine
 from .text import TokenSequence, Vocabulary, build_vocab, decode, encode, normalize_text
@@ -31,13 +30,13 @@ __all__ = [
     "EvalReport", "GatedFusionLayer", "GradientError", "ImageFeature",
     "ModelConfig", "NoiseConfig", "PipelineConfig", "SampleRecord",
     "ShapeError", "SimilarityProvider", "Tensor", "TokenSequence",
-    "TrainingRecipe", "Vocabulary", "apply_elementwise",
-    "assign_random_captions", "average_checkpoints", "backward",
-    "build_prompted_source", "build_vocab", "concat_last_dim", "corpus_eval",
-    "cosine", "decode", "encode", "filter_by_similarity", "filter_change",
-    "frame_midpoint", "generate", "generate_synthetic", "layer_norm",
-    "load_checkpoint", "matmul", "no_grad", "normalize_text", "read_manifest",
-    "run_training", "run_variant", "save_checkpoint",
-    "softmax_cross_entropy", "split_dataset", "split_prompted_source",
-    "train_step", "word_edit_distance", "write_manifest", "zero_feature",
+    "TrainingRecipe", "Vocabulary", "assign_random_captions",
+    "average_checkpoints", "backward", "build_prompted_source",
+    "build_vocab", "concat_last_dim", "corpus_eval", "cosine", "decode",
+    "encode", "filter_by_similarity", "frame_midpoint", "generate",
+    "generate_synthetic", "layer_norm", "load_checkpoint", "matmul",
+    "no_grad", "normalize_text", "read_manifest", "run_training",
+    "run_variant", "save_checkpoint", "softmax_cross_entropy",
+    "split_dataset", "split_prompted_source", "train_step",
+    "word_edit_distance", "write_manifest", "zero_feature",
 ]

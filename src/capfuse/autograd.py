@@ -24,11 +24,6 @@ class GradientError(RuntimeError):
     """Backward pass requested in an invalid state."""
 
 
-def _as_f64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """Dense float64 array with optional gradient tracking.
 
@@ -40,7 +35,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.data = _as_f64(values)
+        self.data = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._tape: Optional["ComputationTape"] = None
@@ -72,9 +67,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -276,23 +268,6 @@ def relu(a: Tensor) -> Tensor:
             a.accumulate_grad(g * mask, owned=True)
 
     return _make_result(np.where(mask, a.data, 0.0), (a,), bwd)
-
-
-_UNARY_KINDS = {"tanh": tanh, "sigmoid": sigmoid, "relu": relu}
-_BINARY_KINDS = {"add": add, "mul": mul}
-
-
-def apply_elementwise(kind: str, *operands: Tensor) -> Tensor:
-    """Dispatch an elementwise op by name: tanh, sigmoid, relu, add, mul."""
-    if kind in _UNARY_KINDS:
-        if len(operands) != 1:
-            raise ShapeError(f"{kind} takes exactly one operand, got {len(operands)}")
-        return _UNARY_KINDS[kind](*operands)
-    if kind in _BINARY_KINDS:
-        if len(operands) != 2:
-            raise ShapeError(f"{kind} takes exactly two operands, got {len(operands)}")
-        return _BINARY_KINDS[kind](*operands)
-    raise ValueError(f"unknown elementwise kind: {kind!r}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

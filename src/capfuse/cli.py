@@ -78,15 +78,10 @@ def cmd_filter(args) -> int:
     # the test split is taken as given: only the named splits face the filter
     subject_splits = (None if args.splits == "all"
                       else {s.strip() for s in args.splits.split(",")})
-    kept: List = []
-    dropped: List = []
-    for sample in samples:
-        if subject_splits is not None and sample.split not in subject_splits:
-            kept.append(sample)
-            continue
-        k, d = filter_by_similarity([sample], provider, threshold=args.threshold)
-        kept.extend(k)
-        dropped.extend(d)
+    subject = [s for s in samples if subject_splits is None or s.split in subject_splits]
+    _, dropped = filter_by_similarity(subject, provider, threshold=args.threshold)
+    dropped_ids = {id(s) for s in dropped}
+    kept = [s for s in samples if id(s) not in dropped_ids]
     write_manifest(args.out, kept)
     if args.dropped_out:
         write_manifest(args.dropped_out, dropped)
@@ -107,35 +102,15 @@ def cmd_split(args) -> int:
     return 0
 
 
+_MODEL_FLAGS = ("d_model", "n_heads", "n_enc_layers", "n_dec_layers", "ffn_dim",
+                "max_len", "dropout")
+
+
 def _model_config_from_args(args, vocab_size: int) -> ModelConfig:
-    overrides = {}
-    if args.config:
-        overrides = {
-            key.strip(): value.strip()
-            for key, _, value in (
-                line.partition("=")
-                for line in Path(args.config).read_text(encoding="utf-8").splitlines()
-                if line.strip() and not line.strip().startswith("#"))
-        }
-
-    def pick(flag_value, name, cast, fallback):
-        if flag_value is not None:
-            return flag_value
-        if name in overrides:
-            return cast(overrides[name])
-        return fallback
-
-    return ModelConfig(
-        vocab_size=vocab_size,
-        d_model=pick(args.d_model, "d_model", int, 64),
-        n_heads=pick(args.n_heads, "n_heads", int, 4),
-        n_enc_layers=pick(args.enc_layers, "n_enc_layers", int, 2),
-        n_dec_layers=pick(args.dec_layers, "n_dec_layers", int, 2),
-        ffn_dim=pick(args.ffn_dim, "ffn_dim", int, 128),
-        max_len=pick(args.max_len, "max_len", int, 64),
-        dropout=pick(args.dropout, "dropout", float, 0.0),
-        seed=args.seed,
-    )
+    found = ModelConfig.read_fields(args.config) if args.config else {}
+    found.update({name: getattr(args, name) for name in _MODEL_FLAGS
+                  if getattr(args, name) is not None})
+    return ModelConfig(**{**found, "vocab_size": vocab_size, "seed": args.seed})
 
 
 def _training_examples(samples, vocab, use_prompts: bool, features, max_len: int,
@@ -220,18 +195,23 @@ def cmd_avg_ckpt(args) -> int:
     return 0
 
 
-def _load_model_dir(path: Optional[str], ckpt_name: str,
-                    with_fusion: bool = False, d_img: int = 0
-                    ) -> Optional[EncoderDecoderModel]:
+def _load_model_dir(path: Optional[str], ckpt_name: str) -> Optional[EncoderDecoderModel]:
+    """The model of a train output directory; a checkpoint holding
+    ``fusion.proj_w`` gets a fusion layer as wide as that matrix's rows."""
     if not path:
         return None
     directory = Path(path)
     config = ModelConfig.load(directory / "model.cfg")
     model = EncoderDecoderModel(config)
-    if with_fusion:
+    state = load_checkpoint(directory / ckpt_name)
+    if "fusion.proj_w" in state:
+        proj_w = state["fusion.proj_w"]
+        if proj_w.ndim != 2:
+            raise ValueError(f"{directory / ckpt_name}: fusion.proj_w has shape "
+                             f"{proj_w.shape}, not (d_img, d_model)")
         rng = np.random.default_rng(config.seed + 1)
-        model.attach_fusion(GatedFusionLayer.create(d_img, config.d_model, rng))
-    model.load_checkpoint(directory / ckpt_name)
+        model.attach_fusion(GatedFusionLayer.create(len(proj_w), config.d_model, rng))
+    model.load_state(state)
     model.eval()
     return model
 
@@ -241,7 +221,7 @@ def cmd_correct(args) -> int:
                if args.split == "all" or s.split == args.split]
     if not samples:
         raise SystemExit(f"no {args.split!r} samples in {args.manifest}")
-    features, feat_dim = _load_features(args.features)
+    features, _ = _load_features(args.features)
 
     vocab_dir = args.baseline_dir or args.prompt_dir or args.fusion_dir
     if vocab_dir is None and args.variant != "original":
@@ -249,13 +229,11 @@ def cmd_correct(args) -> int:
     vocab = Vocabulary.load(Path(vocab_dir) / "vocab.txt") if vocab_dir \
         else Vocabulary()
 
-    d_img = feat_dim if feat_dim else args.d_img
     models = CorrectionModels(
         vocab=vocab,
         baseline=_load_model_dir(args.baseline_dir, args.ckpt_name),
         prompt=_load_model_dir(args.prompt_dir, args.ckpt_name),
-        fusion=_load_model_dir(args.fusion_dir, args.ckpt_name,
-                               with_fusion=True, d_img=d_img),
+        fusion=_load_model_dir(args.fusion_dir, args.ckpt_name),
     )
     decode_cfg = DecodeConfig(strategy="beam", beam_size=args.beam_size,
                               max_decode_len=args.max_decode_len,
@@ -334,8 +312,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key-value model config file (flags win)")
     p.add_argument("--d-model", type=int, dest="d_model")
     p.add_argument("--n-heads", type=int, dest="n_heads")
-    p.add_argument("--enc-layers", type=int, dest="enc_layers")
-    p.add_argument("--dec-layers", type=int, dest="dec_layers")
+    p.add_argument("--enc-layers", type=int, dest="n_enc_layers")
+    p.add_argument("--dec-layers", type=int, dest="n_dec_layers")
     p.add_argument("--ffn-dim", type=int, dest="ffn_dim")
     p.add_argument("--max-len", type=int, dest="max_len")
     p.add_argument("--dropout", type=float)
@@ -415,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt-name", default="model.ckpt", dest="ckpt_name")
     p.add_argument("--features", help="VECF image features")
     p.add_argument("--embeddings", help="VECF text embeddings for the filter")
-    p.add_argument("--d-img", type=int, default=16, dest="d_img")
     p.add_argument("--beam-size", type=int, default=4, dest="beam_size")
     p.add_argument("--max-decode-len", type=int, default=40, dest="max_decode_len")
     p.add_argument("--length-penalty", type=float, default=1.0, dest="length_penalty")

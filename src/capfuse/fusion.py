@@ -35,10 +35,6 @@ class ImageFeature:
         if not np.all(np.isfinite(self.vector)):
             raise ValueError(f"image feature {self.source_id!r} has non-finite values")
 
-    @property
-    def dim(self) -> int:
-        return len(self.vector)
-
 
 def zero_feature(dim: int, source_id: str = "") -> ImageFeature:
     """The absent-image stand-in."""
@@ -84,19 +80,11 @@ class GatedFusionLayer:
     def _gate(self, x: Tensor) -> Tensor:
         return ag.tanh(x) if self.gate_kind == "tanh" else ag.sigmoid(x)
 
-    def project_image(self, feat: ImageFeature, length: int) -> Tensor:
-        """Project the image vector to model width and tile it ``length`` times."""
-        if feat.dim != self.d_img:
-            raise ValueError(
-                f"image feature dimension {feat.dim} does not match layer d_img {self.d_img}")
-        vec = Tensor(feat.vector.reshape(1, self.d_img))
-        projected = ag.add_bias(ag.matmul(vec, self.params["proj_w"]),
-                                self.params["proj_b"])
-        row = ag.reshape(projected, (self.d_model,))
-        return ag.tile(row, length, axis=0)
-
     def project_image_batch(self, feats: np.ndarray, length: int) -> Tensor:
-        """Batched projection: (B x d_img) features to (B x L x d)."""
+        """Project (B x d_img) features to model width and tile them to (B x L x d)."""
+        if feats.shape[-1] != self.d_img:
+            raise ValueError(f"image feature dimension {feats.shape[-1]} does not match "
+                             f"layer d_img {self.d_img}")
         projected = ag.add_bias(ag.matmul(Tensor(feats), self.params["proj_w"]),
                                 self.params["proj_b"])
         return ag.tile(projected, length, axis=1)
@@ -113,10 +101,6 @@ class GatedFusionLayer:
         gate = self._gate(ag.add_bias(ag.matmul(gate_in, self.params["gate_w"]),
                                       self.params["gate_b"]))
         return ag.add(h_text, ag.mul(gate, fused))
-
-    def fuse_absent_image(self, h_text: Tensor) -> Tensor:
-        """Fusion with the zero image feature (absent image convention)."""
-        return self.fuse(h_text, Tensor(np.zeros(h_text.shape)))
 
     def zero_gate(self) -> None:
         """Zero the gate map; fuse() then returns the text encoding exactly."""

@@ -10,16 +10,16 @@ batches are dense (B x L) arrays padded with PAD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .fusion import GatedFusionLayer, ImageFeature, zero_feature
+from .fusion import GatedFusionLayer, ImageFeature
 from .text import BOS_ID, EOS_ID, PAD_ID, TokenSequence
 
 _MASK_OFF = -1e9  # additive attention mask; exp() underflows to exactly 0.0
@@ -51,21 +51,43 @@ class ModelConfig:
     def save(self, path) -> None:
         """Flat key-value file, one ``key = value`` pair per line."""
         with open(path, "w", encoding="utf-8") as fh:
-            for name in ("vocab_size", "d_model", "n_heads", "n_enc_layers",
-                         "n_dec_layers", "ffn_dim", "max_len", "dropout", "seed"):
-                fh.write(f"{name} = {getattr(self, name)}\n")
+            for f in fields(self):
+                fh.write(f"{f.name} = {getattr(self, f.name)}\n")
 
     @classmethod
-    def load(cls, path) -> "ModelConfig":
-        fields: Dict[str, float] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+    def read_fields(cls, path) -> Dict[str, float]:
+        """The ``key = value`` lines of a config file, typed by the fields.
+
+        Blank lines and ``#`` comments are skipped. A line without ``=``,
+        an unknown key or a value of the wrong type raises ValueError
+        naming the file and line.
+        """
+        types = get_type_hints(cls)
+        found: Dict[str, float] = {}
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = float(value.strip())
-        ints = {k: int(v) for k, v in fields.items() if k != "dropout"}
-        return cls(dropout=fields.get("dropout", 0.0), **ints)
+            key, eq, value = (part.strip() for part in line.partition("="))
+            where = f"{path}, line {number}"
+            if not eq:
+                raise ValueError(f"{where}: expected 'key = value', got {line!r}")
+            if key not in types:
+                raise ValueError(f"{where}: unknown key {key!r}")
+            try:
+                found[key] = types[key](value)
+            except ValueError:
+                raise ValueError(
+                    f"{where}: {key} takes {types[key].__name__}, got {value!r}") from None
+        return found
+
+    @classmethod
+    def load(cls, path) -> "ModelConfig":
+        found = cls.read_fields(path)
+        if "vocab_size" not in found:
+            raise ValueError(f"{path}: no vocab_size line")
+        return cls(**found)
 
 
 @dataclass
@@ -244,7 +266,8 @@ class EncoderDecoderModel:
 
     def encode_batch(self, src: np.ndarray,
                      features: Optional[np.ndarray] = None) -> Tensor:
-        """Encoder stack over (B x L) ids; optional fused image features (B x d_img)."""
+        """Encoder stack over (B x L) ids, then the fusion layer if attached:
+        it fuses the (B x d_img) ``features``, all zero when None."""
         pad = src == PAD_ID
         x = self._embed(src)
         mask = self._key_pad_mask(pad, src.shape[1])
@@ -301,20 +324,6 @@ class EncoderDecoderModel:
         # rounds differently.
         logits = self._affine("out", Tensor(x.data[:, -2:].reshape(2 * b, d)))
         return Tensor(logits.data[1::2, None])
-
-    def encode(self, src: TokenSequence,
-               image: Optional[ImageFeature] = None) -> Tensor:
-        """Single-sequence encoder output with shape (L x d_model)."""
-        out = self.encode_batch(np.asarray([src.ids], dtype=np.int64),
-                                self._single_features(image))
-        return ag.reshape(out, out.shape[1:])
-
-    def _single_features(self, image: Optional[ImageFeature]) -> Optional[np.ndarray]:
-        """(1 x d_img) fusion input for one sentence; no image is a zero feature."""
-        if self.fusion is None:
-            return None
-        feat = image if image is not None else zero_feature(self.fusion.d_img)
-        return feat.vector[None, :]
 
     # -- training --------------------------------------------------------
 
@@ -390,7 +399,8 @@ def generate(model: EncoderDecoderModel, src: TokenSequence, cfg: DecodeConfig,
 
 def _beam_search(model, src, cfg, image) -> TokenSequence:
     src_ids = np.asarray([src.ids], dtype=np.int64)
-    enc = model.encode_batch(src_ids, model._single_features(image)).data
+    features = None if image is None else image.vector[None, :]  # None: the zero feature
+    enc = model.encode_batch(src_ids, features).data
 
     live = np.full((1, 1), BOS_ID, dtype=np.int64)  # (n_live x t) token ids
     scores = np.zeros(1)

@@ -125,16 +125,10 @@ def read_results(path) -> List[CorrectionResult]:
     return [CorrectionResult.from_json(line) for line in lines if line.strip()]
 
 
-def filter_change(provider: SimilarityProvider, feat: ImageFeature,
-                  original: str, changed: str) -> str:
-    """Accept ``changed`` only if the image scores it strictly higher."""
-    text, _ = filter_change_detail(provider, feat, original, changed)
-    return text
-
-
 def filter_change_detail(provider: SimilarityProvider, feat: ImageFeature,
                          original: str, changed: str
                          ) -> Tuple[str, FilterDecision]:
+    """Accept ``changed`` only if the image scores it strictly higher."""
     if changed == original:
         return original, FilterDecision("kept", None, None)
     score_original = provider.score_image_text(feat, original)

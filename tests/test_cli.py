@@ -1,10 +1,15 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
 
+from capfuse.checkpoint import save_checkpoint
 from capfuse.cli import main
 from capfuse.data import read_manifest, SampleRecord, write_manifest
+from capfuse.model import EncoderDecoderModel, ModelConfig
+from capfuse.text import Vocabulary
 from capfuse.vecfile import save_vectors
 
 
@@ -201,3 +206,84 @@ def test_correct_variant_original_reproduces_sources(tmp_path):
     records = read_manifest(manifest)
     lines = [json.loads(line) for line in results.read_text().splitlines()]
     assert [l["final"] for l in lines] == [r.source for r in records]
+
+
+def _image_manifest(tmp_path, width):
+    """The toy manifest with an image id per record, and a VECF file of
+    ``width``-wide features for those ids."""
+    manifest = tmp_path / "images.jsonl"
+    records = read_manifest(_toy_manifest(tmp_path))
+    for i, record in enumerate(records):
+        record.image_feature_id = f"img{i}"
+    write_manifest(manifest, records)
+    rng = np.random.default_rng(width)
+    features = tmp_path / f"img{width}.vecf"
+    save_vectors(features, {r.image_feature_id: rng.normal(size=width).astype(np.float32)
+                            for r in records}, dim=width)
+    return manifest, features
+
+
+def test_fusion_model_dir_reloads_at_its_own_image_width(tmp_path, capsys):
+    manifest, features = _image_manifest(tmp_path, width=8)
+    fusion_dir, base_dir = tmp_path / "fusion", tmp_path / "base"
+    assert run(*_train_args(manifest, fusion_dir,
+                            ("--variant", "fusion", "--features", features))) == 0
+    assert run(*_train_args(manifest, base_dir)) == 0
+    correct = ("correct", "--variant", "transformer_then_fusion", "--split", "all",
+               "--baseline-dir", base_dir, "--fusion-dir", fusion_dir,
+               "--beam-size", 2, "--max-decode-len", 6)
+
+    # no image ids and no --features: every sample fuses the zero feature
+    imageless = _toy_manifest(tmp_path)
+    results = tmp_path / "imageless.jsonl"
+    assert run(*correct, "--manifest", imageless, "--out", results) == 0
+    assert len(results.read_text().splitlines()) == 8
+
+    _, narrow = _image_manifest(tmp_path, width=5)
+    capsys.readouterr()
+    assert run(*correct, "--manifest", manifest, "--features", narrow,
+               "--out", tmp_path / "narrow.jsonl") == 2
+    assert re.search(r"\b5\b.*\b8\b", capsys.readouterr().err)
+
+
+def test_train_config_file_rejects_unknown_key(tmp_path, capsys):
+    config = tmp_path / "model.conf"
+    config.write_text("d_model = 16\nn_head = 2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(*_train_args(_toy_manifest(tmp_path), tmp_path / "run",
+                            ("--config", config))) == 2
+    err = capsys.readouterr().err
+    assert f"{config}, line 2" in err and "n_head" in err
+
+
+def test_correct_rejects_unknown_key_in_model_cfg(tmp_path, capsys):
+    manifest = _toy_manifest(tmp_path)
+    out_dir = tmp_path / "run"
+    assert run(*_train_args(manifest, out_dir)) == 0
+    with open(out_dir / "model.cfg", "a", encoding="utf-8") as fh:
+        fh.write("n_head = 2\n")
+    capsys.readouterr()
+    assert run("correct", "--manifest", manifest, "--split", "all",
+               "--baseline-dir", out_dir, "--out", tmp_path / "res.jsonl") == 2
+    assert f"{out_dir / 'model.cfg'}, line 10" in capsys.readouterr().err
+
+
+def test_correct_rejects_fusion_checkpoint_without_a_matrix(tmp_path, capsys):
+    manifest = _toy_manifest(tmp_path)
+    model_dir = tmp_path / "fusion"
+    model_dir.mkdir()
+    config = ModelConfig(vocab_size=len(Vocabulary()), d_model=16, n_heads=2,
+                         n_enc_layers=1, n_dec_layers=1, ffn_dim=32)
+    config.save(model_dir / "model.cfg")
+    Vocabulary().save(model_dir / "vocab.txt")
+    state = EncoderDecoderModel(config).state()
+    state["fusion.proj_w"] = np.zeros(1)
+    ckpt = model_dir / "model.ckpt"
+    save_checkpoint(ckpt, state)
+    # rewrite the last record's shape, ndim 1 and length 1, as ndim 0
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[:-16] + struct.pack("<I", 0) + data[-8:])
+    capsys.readouterr()
+    assert run("correct", "--manifest", manifest, "--variant", "fusion", "--split", "all",
+               "--fusion-dir", model_dir, "--out", tmp_path / "res.jsonl") == 2
+    assert "fusion.proj_w has shape ()" in capsys.readouterr().err

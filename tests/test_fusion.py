@@ -4,6 +4,7 @@ import pytest
 import capfuse.autograd as ag
 from capfuse.autograd import Tensor, backward
 from capfuse.fusion import GatedFusionLayer, ImageFeature, zero_feature
+from capfuse.model import EncoderDecoderModel, ModelConfig
 
 from helpers import finite_difference, rel_error, straight_line_fusion
 
@@ -22,33 +23,33 @@ def test_image_feature_validation():
 
 def test_project_zero_feature_with_zero_bias_gives_zeros():
     layer = _layer()
-    out = layer.project_image(zero_feature(5), length=3)
-    np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
+    out = layer.project_image_batch(zero_feature(5).vector[None, :], length=3)
+    np.testing.assert_array_equal(out.data, np.zeros((1, 3, 4)))
 
 
 def test_project_tiling_contract():
     layer = _layer(seed=1)
-    feat = ImageFeature(vector=np.arange(5, dtype=float))
-    one = layer.project_image(feat, length=1)
-    three = layer.project_image(feat, length=3)
-    np.testing.assert_array_equal(one.data[0], three.data[0])
-    assert three.shape == (3, 4)
+    feats = np.arange(5, dtype=float)[None, :]
+    one = layer.project_image_batch(feats, length=1)
+    three = layer.project_image_batch(feats, length=3)
+    np.testing.assert_array_equal(one.data[0, 0], three.data[0, 0])
+    assert three.shape == (1, 3, 4)
 
 
 def test_project_matches_matrix_vector_oracle():
     layer = _layer(seed=2)
     rng = np.random.default_rng(3)
-    feat = ImageFeature(vector=rng.normal(size=5))
-    out = layer.project_image(feat, length=4)
-    expected = feat.vector @ layer.params["proj_w"].data + layer.params["proj_b"].data
-    for row in out.data:
+    vector = rng.normal(size=5)
+    out = layer.project_image_batch(vector[None, :], length=4)
+    expected = vector @ layer.params["proj_w"].data + layer.params["proj_b"].data
+    for row in out.data[0]:
         np.testing.assert_allclose(row, expected, atol=1e-12)
 
 
 def test_project_dimension_mismatch():
     layer = _layer()
-    with pytest.raises(ValueError, match="dimension"):
-        layer.project_image(ImageFeature(vector=np.zeros(7)), length=2)
+    with pytest.raises(ValueError, match="dimension 7 .* d_img 5"):
+        layer.project_image_batch(np.zeros((1, 7)), length=2)
 
 
 def test_fuse_shape_mismatch():
@@ -108,11 +109,11 @@ def test_fuse_matches_straight_line_oracle_100_draws():
 def test_fuse_parameter_gradients_match_finite_differences():
     layer = _layer(seed=11)
     rng = np.random.default_rng(12)
-    feat = ImageFeature(vector=rng.normal(size=5))
-    h_text = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    feats = rng.normal(size=(1, 5))
+    h_text = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
 
     def loss():
-        h_image = layer.project_image(feat, length=3)
+        h_image = layer.project_image_batch(feats, length=3)
         return ag.tensor_sum(ag.tanh(layer.fuse(h_text, h_image)))
 
     ag.reset_tape()
@@ -123,11 +124,14 @@ def test_fuse_parameter_gradients_match_finite_differences():
 
 
 def test_absent_image_equals_explicit_zero_feature():
-    layer = _layer(seed=13)
-    rng = np.random.default_rng(14)
-    h_text = rng.normal(size=(5, 4))
-    absent = layer.fuse_absent_image(Tensor(h_text))
-    explicit = layer.fuse(Tensor(h_text), Tensor(np.zeros((5, 4))))
+    model = EncoderDecoderModel(ModelConfig(vocab_size=12, d_model=4, n_heads=2,
+                                            n_enc_layers=1, n_dec_layers=1, ffn_dim=8,
+                                            max_len=8, seed=13))
+    model.attach_fusion(_layer(seed=13))
+    src = np.random.default_rng(14).integers(5, 12, size=(2, 5))
+    with ag.no_grad():
+        absent = model.encode_batch(src, None)
+        explicit = model.encode_batch(src, np.zeros((2, 5)))
     np.testing.assert_array_equal(absent.data, explicit.data)
 
 
@@ -136,7 +140,7 @@ def test_zero_image_does_not_force_identity():
     layer = _layer(seed=15)
     rng = np.random.default_rng(16)
     h_text = rng.normal(size=(3, 4))
-    out = layer.fuse_absent_image(Tensor(h_text))
+    out = layer.fuse(Tensor(h_text), Tensor(np.zeros((3, 4))))
     assert np.abs(out.data - h_text).max() > 1e-6
 
 
@@ -144,7 +148,7 @@ def test_gradients_flow_to_both_maps_with_zero_image():
     layer = _layer(seed=17)
     rng = np.random.default_rng(18)
     h_text = Tensor(rng.normal(size=(3, 4)))
-    backward(ag.tensor_sum(layer.fuse_absent_image(h_text)))
+    backward(ag.tensor_sum(layer.fuse(h_text, Tensor(np.zeros((3, 4))))))
     assert np.abs(layer.params["gate_w"].grad).max() > 0
     assert np.abs(layer.params["fuse_w"].grad).max() > 0
 
@@ -179,7 +183,11 @@ def test_batched_fuse_agrees_with_per_sample(tmp_path):
     h_text = rng.normal(size=(3, 6, 4))
     h_image_batch = layer.project_image_batch(feats, length=6)
     out_batch = layer.fuse(Tensor(h_text), h_image_batch)
+    params = {name: p.data for name, p in layer.params.items()}
     for b in range(3):
-        h_img = layer.project_image(ImageFeature(vector=feats[b]), length=6)
-        out_single = layer.fuse(Tensor(h_text[b]), h_img)
-        np.testing.assert_allclose(out_batch.data[b], out_single.data, atol=1e-12)
+        row = feats[b] @ params["proj_w"] + params["proj_b"]
+        np.testing.assert_allclose(h_image_batch.data[b], np.tile(row, (6, 1)), atol=1e-12)
+        out_single = straight_line_fusion(
+            h_text[b], np.tile(row, (6, 1)), params["fuse_w"], params["fuse_b"],
+            params["gate_w"], params["gate_b"])
+        np.testing.assert_allclose(out_batch.data[b], out_single, atol=1e-12)

@@ -83,20 +83,35 @@ def test_model_config_file_roundtrip(tmp_path):
     assert ModelConfig.load(path) == cfg
 
 
+@pytest.mark.parametrize("line,message", [
+    ("d_model = x", "line 2: d_model takes int, got 'x'"),
+    ("dropout: 0.1", "line 2: expected 'key = value'"),
+    ("n_head = 2", "line 2: unknown key 'n_head'"),
+])
+def test_model_config_file_errors_name_the_line(tmp_path, line, message):
+    path = tmp_path / "model.cfg"
+    path.write_text(f"vocab_size = 40\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"model.cfg, {message}"):
+        ModelConfig.load(path)
+    path.write_text("# no vocabulary\nd_model = 32\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no vocab_size"):
+        ModelConfig.load(path)
+
+
 def test_encode_shape_contract():
     model = tiny_model()
     rng = np.random.default_rng(0)
     for length in (1, 3, 9):
         seq = rand_seq(rng, length)
-        out = model.encode(seq)
-        assert out.shape == (len(seq.ids), model.config.d_model)
+        out = model.encode_batch(np.asarray([seq.ids]))
+        assert out.shape == (1, len(seq.ids), model.config.d_model)
 
 
 def test_encode_rejects_overlong_sequence():
     model = tiny_model()
     seq = TokenSequence.of([BOS_ID] + [5] * 30 + [EOS_ID])
     with pytest.raises(ValueError, match="max_len"):
-        model.encode(seq)
+        model.encode_batch(np.asarray([seq.ids]))
 
 
 def test_pad_tail_does_not_change_non_pad_positions():
@@ -129,8 +144,8 @@ def test_encode_deterministic_in_eval_mode():
     rng = np.random.default_rng(3)
     seq = rand_seq(rng, 4)
     with ag.no_grad():
-        a = model.encode(seq)
-        b = model.encode(seq)
+        a = model.encode_batch(np.asarray([seq.ids]))
+        b = model.encode_batch(np.asarray([seq.ids]))
     np.testing.assert_array_equal(a.data, b.data)
 
 

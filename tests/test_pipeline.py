@@ -7,7 +7,7 @@ from capfuse.metrics import corpus_eval, word_edit_distance
 from capfuse.model import DecodeConfig, EncoderDecoderModel, ModelConfig, train_step
 from capfuse.optim import Adam
 from capfuse.pipeline import (CorrectionModels, CorrectionResult, FilterDecision,
-                              Passthrough, PipelineConfig, filter_change,
+                              Passthrough, PipelineConfig,
                               filter_change_detail, read_results, run_variant,
                               write_results)
 from capfuse.text import build_vocab, encode
@@ -150,20 +150,20 @@ def test_sequential_variant_stage_list_order(vocab, copy_model,
 def test_filter_change_short_circuits_identical_text():
     provider = SpyProvider()
     feat = ImageFeature(vector=np.zeros(2))
-    assert filter_change(provider, feat, "same text", "same text") == "same text"
+    assert filter_change_detail(provider, feat, "same text", "same text")[0] == "same text"
     assert provider.calls == 0
 
 
 def test_filter_change_accepts_strictly_higher_score():
     provider = SpyProvider(scores={"old": 0.4, "new": 0.9})
     feat = ImageFeature(vector=np.zeros(2))
-    assert filter_change(provider, feat, "old", "new") == "new"
+    assert filter_change_detail(provider, feat, "old", "new")[0] == "new"
 
 
 def test_filter_change_keeps_original_on_tie():
     provider = SpyProvider(scores={"old": 0.4, "new": 0.4})
     feat = ImageFeature(vector=np.zeros(2))
-    assert filter_change(provider, feat, "old", "new") == "old"
+    assert filter_change_detail(provider, feat, "old", "new")[0] == "old"
 
 
 def test_filter_change_detail_records_scores():
