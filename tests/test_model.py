@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -324,6 +325,20 @@ def test_decoder_reproduces_golden_fixture():
                 cfg = DecodeConfig(beam_size=beam, max_decode_len=setting["max_decode_len"])
                 out = generate(model, TokenSequence.of(case["src"]), cfg)
                 assert out.ids == case[f"beam{beam}"], (setting["config"]["seed"], beam)
+
+
+def test_training_reproduces_golden_fixture():
+    # losses and final parameters that 20 Adam steps gave before the tape
+    # released its entries during backward; the generator wrote them
+    path = Path(__file__).parent / "data" / "make_train_golden.py"
+    spec = importlib.util.spec_from_file_location("make_train_golden", path)
+    maker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(maker)
+    golden = json.loads(maker.OUT.read_text(encoding="utf-8"))
+    for setting in golden["settings"]:
+        losses, digest = maker.train(setting["config"], setting["d_img"], setting["recipe"])
+        assert losses == setting["losses"], setting["config"]["seed"]
+        assert digest == setting["params_sha256"], setting["config"]["seed"]
 
 
 def test_last_only_logits_equal_full_last_position():
