@@ -2,10 +2,15 @@
 
 Define-by-run: every differentiable op appends an entry to the active
 ComputationTape; ``backward(loss)`` replays the tape in reverse and
-accumulates gradients. A fresh tape is started automatically after the
-previous one is consumed, so ordinary training loops never manage tapes
-explicitly. No implicit broadcasting: elementwise ops require identical
-shapes, and expansion goes through the explicit ``tile`` op.
+accumulates gradients. ``backward`` consumes the tape: it releases each
+entry's output and backward function as it runs them, so a step's
+activations are freed during the sweep and no reference cycle outlives
+it. Only leaf tensors keep ``.grad`` afterwards; an op's output hands its
+gradient on and is left with None. A fresh tape is started automatically
+after the previous one is consumed, so ordinary training loops never
+manage tapes explicitly. No implicit broadcasting: elementwise ops
+require identical shapes, and expansion goes through the explicit
+``tile`` op.
 """
 
 from __future__ import annotations
@@ -58,8 +63,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, delta: np.ndarray, owned: bool = False) -> None:
-        """Add into grad. ``owned`` promises delta is a fresh array that no
-        caller will reuse, so the first accumulation can take it directly."""
+        """Add into grad. ``owned`` promises that no one else reads or writes
+        delta afterwards, so the first accumulation can take it directly.
+
+        A backward function owns the gradient it is called with, since the
+        sweep has already dropped it from the op's output, so it may pass
+        it, or a view of it, on as owned once."""
         if self.grad is None:
             self.grad = delta if owned else np.array(delta, dtype=np.float64)
         else:
@@ -150,6 +159,9 @@ def _make_result(values: np.ndarray, inputs: Sequence[Tensor],
 def backward(loss: Tensor) -> None:
     """Populate grads of every ``requires_grad`` ancestor of a scalar loss.
 
+    Each tape entry drops its output and backward function as the sweep
+    runs it; ``tape.entries`` keeps its length.
+
     Raises GradientError if the loss has no recorded history or its tape
     was already replayed (reset happens implicitly on the next forward).
     """
@@ -167,10 +179,11 @@ def backward(loss: Tensor) -> None:
     tape.consumed = True
     loss.accumulate_grad(np.ones_like(loss.data))
     for entry in reversed(tape.entries):
-        out_grad = entry.output.grad
-        if out_grad is None:
-            continue
-        entry.backward_fn(out_grad)
+        output, backward_fn = entry.output, entry.backward_fn
+        entry.output = entry.backward_fn = None
+        out_grad, output.grad = output.grad, None
+        if out_grad is not None:
+            backward_fn(out_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +200,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(g)
+            a.accumulate_grad(g, owned=True)
         if b.requires_grad:
-            b.accumulate_grad(g)
+            b.accumulate_grad(g)  # copied, as a may hold g now; add(x, x) gives 2g
 
     return _make_result(a.data + b.data, (a, b), bwd)
 
@@ -222,7 +235,7 @@ def add_bias(a: Tensor, bias: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(g)
+            a.accumulate_grad(g, owned=True)
         if bias.requires_grad:
             bias.accumulate_grad(g.reshape(-1, bias.shape[0]).sum(axis=0), owned=True)
 
@@ -322,7 +335,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(g.reshape(old_shape))
+            a.accumulate_grad(g.reshape(old_shape), owned=True)
 
     return _make_result(a.data.reshape(shape), (a,), bwd)
 
@@ -386,10 +399,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    # the steps np.var takes, so the variance is bit-identical to it
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean) * inv_std
+    x_hat = centered * inv_std
     out_data = x_hat * gain.data + bias.data
 
     def bwd(g):
@@ -444,19 +458,20 @@ def softmax_cross_entropy(logits: Tensor, targets, ignore_index: Optional[int] =
         raise ValueError(
             f"softmax_cross_entropy: target out of range [0, {v})")
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
+    log_probs = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
     safe_targets = np.where(valid, targets, 0)
     nll = -log_probs[np.arange(n), safe_targets]
     loss = nll[valid].sum() / n_valid
 
     def bwd(g):
         if logits.requires_grad:
-            probs = np.exp(log_probs)
+            # the tape runs this once, so log_probs can become the gradient
+            probs = np.exp(log_probs, out=log_probs)
             probs[np.arange(n), safe_targets] -= 1.0
             probs[~valid] = 0.0
-            logits.accumulate_grad(probs * (float(g.reshape(())) / n_valid), owned=True)
+            probs *= float(g.reshape(())) / n_valid
+            logits.accumulate_grad(probs, owned=True)
 
     return _make_result(np.asarray(loss), (logits,), bwd)
 

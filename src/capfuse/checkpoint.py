@@ -27,7 +27,7 @@ def save_checkpoint(path, params: Mapping[str, np.ndarray]) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name, values in params.items():
-            arr = np.ascontiguousarray(values, dtype="<f8")
+            arr = np.asarray(values, dtype="<f8")  # keeps ndim 0; tobytes() is C order
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

@@ -25,6 +25,9 @@ class Adam:
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        # a step's temporaries, so that it allocates no parameter-sized array
+        largest = max((p.size for p in self.params.values()), default=0)
+        self._scratch = np.empty((2, largest))
 
     def step(self) -> None:
         """Apply one update; every parameter must carry a grad."""
@@ -39,13 +42,16 @@ class Adam:
             g = p.grad
             m = self._m[name]
             v = self._v[name]
+            a, b = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
+            # the operations, in order, of m = b1 m + (1 - b1) g, v = b2 v +
+            # (1 - b2) g^2 and p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=a), out=a)
+            np.multiply(self.lr, np.divide(m, bias1, out=a), out=a)
+            np.add(np.sqrt(np.divide(v, bias2, out=b), out=b), self.eps, out=b)
+            p.data -= np.divide(a, b, out=a)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -42,6 +42,9 @@ def run_training(model: EncoderDecoderModel, examples: Sequence,
                  ckpt_dir: Optional[Path] = None) -> List[float]:
     """Train for ``recipe.steps`` Adam steps; returns per-step losses.
 
+    A non-finite loss raises ValueError naming the step, before that step
+    is logged or checkpointed.
+
     The log gets one ``step loss lr`` line per step. With ``ckpt_every``
     set, checkpoints land in ckpt_dir as step-NNNNNN.ckpt (final step
     always included).
@@ -56,6 +59,8 @@ def run_training(model: EncoderDecoderModel, examples: Sequence,
         for step, batch in enumerate(
                 iterate_batches(examples, recipe.batch_size, recipe.steps, rng), 1):
             loss = train_step(model, batch, optimizer)
+            if not np.isfinite(loss):
+                raise ValueError(f"training stopped at step {step}: loss is {loss}")
             losses.append(loss)
             if log_fh:
                 log_fh.write(f"{step} {loss:.6f} {recipe.lr}\n")

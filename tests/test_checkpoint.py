@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,21 @@ def test_roundtrip_preserves_names_shapes_values(tmp_path):
     for name in state:
         np.testing.assert_array_equal(loaded[name], state[name])
         assert loaded[name].dtype == np.float64
+
+
+def test_zero_dim_entry_roundtrips_with_its_shape(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.array([[1.5], [-2.0]]), "s": np.float64(3.0)})
+    loaded = load_checkpoint(path)
+    assert loaded["s"].shape == () and loaded["s"] == 3.0
+    assert loaded["w"].shape == (2, 1)
+    # the layout is the module docstring's: a 0-D entry has ndim 0 and no dims
+    expected = (b"CFCK" + struct.pack("<II", 1, 2)
+                + struct.pack("<I", 1) + b"w" + struct.pack("<III", 2, 2, 1)
+                + struct.pack("<2d", 1.5, -2.0)
+                + struct.pack("<I", 1) + b"s" + struct.pack("<I", 0)
+                + struct.pack("<d", 3.0))
+    assert path.read_bytes() == expected
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -287,3 +287,21 @@ def test_correct_rejects_fusion_checkpoint_without_a_matrix(tmp_path, capsys):
     assert run("correct", "--manifest", manifest, "--variant", "fusion", "--split", "all",
                "--fusion-dir", model_dir, "--out", tmp_path / "res.jsonl") == 2
     assert "fusion.proj_w has shape ()" in capsys.readouterr().err
+
+
+def test_train_stops_on_non_finite_loss_and_writes_no_model(tmp_path, capsys):
+    manifest = _toy_manifest(tmp_path)
+    first = tmp_path / "first"
+    assert run(*_train_args(manifest, first)) == 0
+    state = EncoderDecoderModel(ModelConfig.load(first / "model.cfg")).state()
+    state["out.b"][5] = np.nan
+    init = tmp_path / "nan.ckpt"
+    save_checkpoint(init, state)
+    out_dir = tmp_path / "diverged"
+    capsys.readouterr()
+    assert run(*_train_args(manifest, out_dir, ("--vocab", first / "vocab.txt",
+                                                 "--init-ckpt", init))) == 2
+    assert "step 1: loss is nan" in capsys.readouterr().err
+    assert not (out_dir / "model.ckpt").exists()
+    assert not (out_dir / "model.cfg").exists()
+    assert not list(out_dir.glob("step-*.ckpt"))

@@ -1,5 +1,7 @@
+import gc
 import importlib.util
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from capfuse.model import (DecodeConfig, EncoderDecoderModel, ModelConfig,
 from capfuse.optim import Adam
 from capfuse.text import (BOS_ID, EOS_ID, PAD_ID, TokenSequence,
                           build_vocab, decode, encode)
+from capfuse.training import TrainingRecipe, run_training
 
 VOCAB_SIZE = 12
 
@@ -185,6 +188,41 @@ def test_training_trajectory_deterministic():
         return [train_step(model, pairs, opt) for _ in range(5)]
 
     assert run() == run()
+
+
+def test_backward_releases_the_step_activations():
+    # With the collector off, nothing but reference counting may free the
+    # step's activations once backward has run and the loss is dropped.
+    model = tiny_model(seed=23)
+    rng = np.random.default_rng(23)
+    pairs = [(rand_seq(rng, 4), rand_seq(rng, 5)) for _ in range(3)]
+    gc.disable()
+    try:
+        loss = model.batch_loss(pairs)
+        tape = loss._tape
+        n_entries = len(tape.entries)
+        outputs = [weakref.ref(entry.output.data) for entry in tape.entries]
+        ag.backward(loss)
+        assert loss.grad is None
+        assert all(p.grad is not None for p in model.params.values())
+        del loss
+        assert len(tape.entries) == n_entries
+        assert [i for i, ref in enumerate(outputs) if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_training_stops_on_non_finite_loss(tmp_path):
+    model = tiny_model(seed=24)
+    model.params["out.b"].data[5] = np.nan
+    rng = np.random.default_rng(24)
+    pairs = [(rand_seq(rng, 4), rand_seq(rng, 4)) for _ in range(4)]
+    recipe = TrainingRecipe(steps=3, batch_size=2, ckpt_every=1)
+    with pytest.raises(ValueError, match="step 1: loss is nan"):
+        run_training(model, pairs, recipe, log_path=tmp_path / "train.log",
+                     ckpt_dir=tmp_path)
+    assert (tmp_path / "train.log").read_text() == ""
+    assert not list(tmp_path.glob("*.ckpt"))
 
 
 def test_initial_loss_near_log_vocab():
