@@ -5,9 +5,8 @@ corrector, gated visual fusion, caption prompting, similarity-filtered
 sequential correction, dataset construction, and WER/SER evaluation.
 """
 
-from .autograd import (ComputationTape, GradientError, ShapeError, Tensor,
-                       backward, concat_last_dim, layer_norm, matmul, no_grad,
-                       softmax_cross_entropy)
+from .autograd import (GradientError, ShapeError, Tensor, backward, concat_last_dim,
+                       layer_norm, matmul, no_grad, softmax_cross_entropy)
 from .checkpoint import average_checkpoints, load_checkpoint, save_checkpoint
 from .data import (NoiseConfig, SampleRecord, filter_by_similarity,
                    frame_midpoint, generate_synthetic, read_manifest,
@@ -18,25 +17,24 @@ from .model import DecodeConfig, EncoderDecoderModel, ModelConfig, generate, tra
 from .optim import Adam
 from .pipeline import CorrectionModels, CorrectionResult, PipelineConfig, run_variant
 from .prompting import assign_random_captions, build_prompted_source, split_prompted_source
-from .similarity import CosineEmbeddingProvider, SimilarityProvider, cosine
+from .similarity import CosineEmbeddingProvider, cosine
 from .text import TokenSequence, Vocabulary, build_vocab, decode, encode, normalize_text
 from .training import TrainingRecipe, run_training
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "ComputationTape", "CorrectionModels", "CorrectionResult",
+    "Adam", "CorrectionModels", "CorrectionResult",
     "CosineEmbeddingProvider", "DecodeConfig", "EncoderDecoderModel",
     "EvalReport", "GatedFusionLayer", "GradientError", "ImageFeature",
     "ModelConfig", "NoiseConfig", "PipelineConfig", "SampleRecord",
-    "ShapeError", "SimilarityProvider", "Tensor", "TokenSequence",
-    "TrainingRecipe", "Vocabulary", "assign_random_captions",
-    "average_checkpoints", "backward", "build_prompted_source",
-    "build_vocab", "concat_last_dim", "corpus_eval", "cosine", "decode",
-    "encode", "filter_by_similarity", "frame_midpoint", "generate",
-    "generate_synthetic", "layer_norm", "load_checkpoint", "matmul",
-    "no_grad", "normalize_text", "read_manifest", "run_training",
-    "run_variant", "save_checkpoint", "softmax_cross_entropy",
-    "split_dataset", "split_prompted_source", "train_step",
-    "word_edit_distance", "write_manifest", "zero_feature",
+    "ShapeError", "Tensor", "TokenSequence", "TrainingRecipe",
+    "Vocabulary", "assign_random_captions", "average_checkpoints",
+    "backward", "build_prompted_source", "build_vocab", "concat_last_dim",
+    "corpus_eval", "cosine", "decode", "encode", "filter_by_similarity",
+    "frame_midpoint", "generate", "generate_synthetic", "layer_norm",
+    "load_checkpoint", "matmul", "no_grad", "normalize_text",
+    "read_manifest", "run_training", "run_variant", "save_checkpoint",
+    "softmax_cross_entropy", "split_dataset", "split_prompted_source",
+    "train_step", "word_edit_distance", "write_manifest", "zero_feature",
 ]

@@ -67,15 +67,18 @@ class SampleRecord:
 
 
 def read_manifest(path) -> List[SampleRecord]:
-    records = []
+    records: Dict[str, SampleRecord] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
-            records.append(SampleRecord.from_json(line))
+            record = SampleRecord.from_json(line)
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad manifest record: {exc}") from exc
-    return records
+        if record.id in records:
+            raise ValueError(f"{path}:{lineno}: duplicate sample id {record.id!r}")
+        records[record.id] = record
+    return list(records.values())
 
 
 def write_manifest(path, records: Iterable[SampleRecord]) -> None:

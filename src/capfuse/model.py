@@ -102,6 +102,10 @@ class DecodeConfig:
             raise ValueError(f"unknown decode strategy {self.strategy!r}")
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
+        if not math.isfinite(self.length_penalty) or abs(self.length_penalty) * \
+                math.log(max(self.max_decode_len, 2)) > 700:  # length**alpha overflows
+            raise ValueError(f"length_penalty must be finite, with max_decode_len ** "
+                             f"length_penalty in float range, got {self.length_penalty}")
         if self.strategy == "greedy":
             self.beam_size = 1
 
@@ -384,8 +388,11 @@ def generate(model: EncoderDecoderModel, src: TokenSequence, cfg: DecodeConfig,
 
     Beams that emit EOS retire from the live set; the best finished
     hypothesis under ``score / generated_len**length_penalty`` wins, with
-    ties broken by the lexicographically smaller token-id sequence. Always
-    terminates by max_decode_len.
+    ties broken by the lexicographically smaller token-id sequence. The
+    search stops once a finished score is strictly above any score a live
+    beam could still reach (Huang et al. 2017), so it returns the full
+    search's hypothesis; at beam 1 it never fires. Always terminates by
+    max_decode_len.
     """
     was_training = model.training
     model.eval()
@@ -405,6 +412,7 @@ def _beam_search(model, src, cfg, image) -> TokenSequence:
     live = np.full((1, 1), BOS_ID, dtype=np.int64)  # (n_live x t) token ids
     scores = np.zeros(1)
     finished: List[Tuple[float, List[int]]] = []
+    top = -np.inf  # the best normalised score in finished
     alpha = cfg.length_penalty
     # decoder input includes BOS, so it may grow to max_len - 1 new tokens
     max_steps = min(cfg.max_decode_len, model.config.max_len - 1)
@@ -431,11 +439,20 @@ def _beam_search(model, src, cfg, image) -> TokenSequence:
         done = tokens == EOS_ID
         for ids, score in zip(grown[done].tolist(), best[done]):
             finished.append((_normalized(score, ids, alpha), ids))
+            top = max(top, finished[-1][0])
         live, scores = grown[~done], best[~done]
         if not len(live):
             break
-
-    for ids, score in zip(live.tolist(), scores):  # hit the length cap without EOS
-        finished.append((_normalized(score, ids, alpha), ids))
+        # Stop once no live row can still win (Huang et al. 2017): log-probs
+        # are <= 0, so a descendant scores at most scores.max() and finishes
+        # at a generated length in [live.shape[1], max_steps]. Every length is
+        # tried, so the bound does not rely on ``**`` rounding monotonically.
+        if top > -np.inf and top > max(
+                (scores.max() / m ** alpha for m in range(live.shape[1], max_steps + 1)),
+                default=np.inf):
+            break
+    else:
+        for ids, score in zip(live.tolist(), scores):  # hit the length cap without EOS
+            finished.append((_normalized(score, ids, alpha), ids))
     finished.sort(key=lambda c: (-c[0], c[1]))
     return TokenSequence.of(finished[0][1])

@@ -208,6 +208,30 @@ def test_correct_variant_original_reproduces_sources(tmp_path):
     assert [l["final"] for l in lines] == [r.source for r in records]
 
 
+def test_correct_rejects_non_finite_length_penalty(tmp_path, capsys):
+    results = tmp_path / "res.jsonl"
+    capsys.readouterr()
+    assert run("correct", "--manifest", _toy_manifest(tmp_path), "--variant", "original",
+               "--split", "all", "--length-penalty", "nan", "--out", results) == 2
+    err = capsys.readouterr().err
+    assert "length_penalty must be finite" in err and "got nan" in err
+    assert "Traceback" not in err
+    assert not results.exists()
+
+
+def test_evaluate_results_rejects_manifest_with_duplicate_ids(tmp_path, capsys):
+    manifest = _toy_manifest(tmp_path)
+    results = tmp_path / "orig.jsonl"
+    assert run("correct", "--manifest", manifest, "--variant", "original",
+               "--split", "all", "--out", results) == 0
+    records = read_manifest(manifest)
+    records[5].id = records[2].id
+    write_manifest(manifest, records)
+    capsys.readouterr()
+    assert run("evaluate", "--results", results, "--manifest", manifest) == 2
+    assert f"{manifest}:6: duplicate sample id 't2'" in capsys.readouterr().err
+
+
 def _image_manifest(tmp_path, width):
     """The toy manifest with an image id per record, and a VECF file of
     ``width``-wide features for those ids."""

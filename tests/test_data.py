@@ -224,3 +224,11 @@ def test_manifest_bad_line_reports_location(tmp_path):
     path.write_text('{"id": "x"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="bad.jsonl:1"):
         read_manifest(path)
+
+
+def test_manifest_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    write_manifest(path, [SampleRecord(id=i, source="s", reference="r")
+                          for i in ("a", "b", "a")])
+    with pytest.raises(ValueError, match=r"dup.jsonl:3: duplicate sample id 'a'"):
+        read_manifest(path)

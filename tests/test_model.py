@@ -80,6 +80,15 @@ def test_decode_config_greedy_forces_beam_one():
         DecodeConfig(beam_size=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 300.0, -300.0])
+def test_decode_config_rejects_length_penalty_out_of_float_range(value):
+    # 40 ** 300 overflows a float and 40 ** -300 underflows to 0
+    with pytest.raises(ValueError, match=f"length_penalty must be finite.*got {value}"):
+        DecodeConfig(max_decode_len=40, length_penalty=value)
+    for fits in (-150.0, 150.0):
+        assert DecodeConfig(max_decode_len=40, length_penalty=fits).length_penalty == fits
+
+
 def test_model_config_file_roundtrip(tmp_path):
     cfg = ModelConfig(vocab_size=40, d_model=32, n_heads=4, dropout=0.25, seed=3)
     path = tmp_path / "model.cfg"
@@ -297,14 +306,15 @@ def test_exact_ties_break_toward_smaller_token_ids():
         assert out.ids == [BOS_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
 
 
-def loop_beam_search(log_probs, beam_size, max_steps, alpha):
-    """The search over n_live x V Python candidates, for a model whose
-    next-token log-probabilities are the same vector at every step."""
+def loop_beam_search(next_log_probs, beam_size, max_steps, alpha):
+    """The search over n_live x V Python candidates, run to the end: it never
+    stops early. ``next_log_probs(ids)`` gives the log-probabilities after
+    the prefix ``ids``."""
     live = [((BOS_ID,), 0.0)]
     finished = []
     for _ in range(max_steps):
-        candidates = [(score + log_probs[token], ids + (token,))
-                      for ids, score in live for token in range(len(log_probs))]
+        candidates = [(score + lp, ids + (token,)) for ids, score in live
+                      for token, lp in enumerate(next_log_probs(ids))]
         candidates.sort(key=lambda c: (-c[0], c[1]))
         live = []
         for score, ids in candidates[:beam_size]:
@@ -335,10 +345,82 @@ def test_repeated_output_bias_ties_follow_score_then_smaller_ids():
         shifted = bias - bias.max()
         log_probs = shifted - np.log(np.exp(shifted).sum())
         for beam in (1, 2, 4, 6):
-            for alpha in (0.0, 1.0):
-                cfg = DecodeConfig(beam_size=beam, max_decode_len=4, length_penalty=alpha)
+            for alpha in (-0.5, 0.0, 1.0, 2.0):  # the stop's bound on both sides of 0
+                cfg = DecodeConfig(beam_size=beam, max_decode_len=8, length_penalty=alpha)
                 assert generate(model, src, cfg).ids == \
-                    loop_beam_search(log_probs, beam, 4, alpha)
+                    loop_beam_search(lambda ids: log_probs, beam, 8, alpha)
+
+
+class TableDecoder:
+    """A stand-in model whose next-token logits are ``table[t - 1, last]``
+    for a prefix of t tokens ending in ``last``."""
+
+    def __init__(self, table):
+        self.table = table
+        self.config = ModelConfig(vocab_size=table.shape[-1], max_len=len(table) + 1)
+        self.training = False
+
+    def eval(self):
+        pass
+
+    def encode_batch(self, src, features=None):
+        return ag.Tensor(np.zeros((1, src.shape[1], 1)))
+
+    def decode_batch(self, tgt_in, enc_out, src, last_only=False):
+        return ag.Tensor(self.table[tgt_in.shape[1] - 1, tgt_in[:, -1]][:, None])
+
+
+def table_log_probs(table):
+    shifted = table - table.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return lambda ids: log_probs[len(ids) - 1, ids[-1]]
+
+
+def test_early_stop_matches_the_full_search_on_position_dependent_logits():
+    # logits that change with the position and the last token let a late
+    # hypothesis overtake an early one, for either sign of the length penalty
+    rng = np.random.default_rng(26)
+    src = TokenSequence.of([BOS_ID, 5, EOS_ID])
+    for _ in range(200):
+        table = 3.0 * rng.normal(size=(8, 8, 8))
+        model = TableDecoder(table)
+        for beam in (2, 4):
+            for alpha in (-0.5, 0.0, 1.0, 2.0):
+                cfg = DecodeConfig(beam_size=beam, max_decode_len=8, length_penalty=alpha)
+                assert generate(model, src, cfg).ids == \
+                    loop_beam_search(table_log_probs(table), beam, 8, alpha)
+
+
+def test_early_stop_keeps_searching_on_a_tie_with_the_bound():
+    # step 1 ties [BOS, PAD] with [BOS, EOS] at -log 2; PAD is then followed
+    # by EOS with log-probability exactly 0, so [BOS, PAD, EOS] ties the
+    # finished [BOS, EOS] and wins on the smaller ids
+    table = np.full((3, 4, 4), -1e3)
+    table[0, BOS_ID, [PAD_ID, EOS_ID]] = 0.0
+    table[1, PAD_ID, EOS_ID] = 0.0
+    cfg = DecodeConfig(beam_size=2, max_decode_len=3, length_penalty=0.0)
+    expected = loop_beam_search(table_log_probs(table), 2, 3, 0.0)
+    assert expected == [BOS_ID, PAD_ID, EOS_ID]
+    assert generate(TableDecoder(table), TokenSequence.of([BOS_ID, EOS_ID]), cfg).ids == expected
+
+
+def test_beam_search_stops_once_a_finished_hypothesis_is_unbeatable():
+    # EOS ends the first step far ahead, and no live row can catch up, so
+    # the search stops after one decoder call instead of running to the cap
+    model = tiny_model(seed=25)
+    model.params["out.b"].data[EOS_ID] = 10.0
+    calls = []
+    decode_batch = model.decode_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return decode_batch(*args, **kwargs)
+
+    model.decode_batch = counted
+    src = rand_seq(np.random.default_rng(25), 3)
+    out = generate(model, src, DecodeConfig(beam_size=4, max_decode_len=12))
+    assert out.ids == [BOS_ID, EOS_ID]
+    assert calls == [(1, 1)]
 
 
 def test_nan_logits_decode_without_error():
