@@ -267,13 +267,17 @@ def cmd_evaluate(args) -> int:
     if args.results:
         results = read_results(args.results)
         refs = {s.id: s.reference for s in read_manifest(args.manifest)}
-        pairs = [(r.sample_id, r.final, refs[r.sample_id]) for r in results]
+        try:
+            pairs = [(r.sample_id, r.final, refs[r.sample_id]) for r in results]
+        except KeyError as exc:
+            raise ValueError(f"{args.results}: sample id {exc} is not in "
+                             f"{args.manifest}") from None
     else:
         hyp_lines = Path(args.hyp).read_text(encoding="utf-8").splitlines()
         ref_lines = Path(args.ref).read_text(encoding="utf-8").splitlines()
         if len(hyp_lines) != len(ref_lines):
-            raise SystemExit(
-                f"hyp has {len(hyp_lines)} lines but ref has {len(ref_lines)}")
+            raise ValueError(f"{args.hyp} has {len(hyp_lines)} lines but "
+                             f"{args.ref} has {len(ref_lines)}")
         pairs = [(str(i), h, r) for i, (h, r) in enumerate(zip(hyp_lines, ref_lines))]
     report = corpus_eval(pairs)
     print(report.summary())

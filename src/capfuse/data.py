@@ -21,6 +21,7 @@ ORIGINS = ("annotated", "synthetic")
 
 _FIELDS = ("id", "source", "reference", "caption", "image_feature_id",
            "start_time", "end_time", "split", "origin")
+_FIELD_SET = frozenset(_FIELDS)
 
 
 @dataclass
@@ -61,8 +62,12 @@ class SampleRecord:
     @classmethod
     def from_json(cls, line: str) -> "SampleRecord":
         raw = json.loads(line)
+        if type(raw) is not dict:
+            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+        if raw.keys() <= _FIELD_SET:
+            return cls(**raw)
         known = {name: raw[name] for name in _FIELDS if name in raw}
-        extra = {k: v for k, v in raw.items() if k not in _FIELDS}
+        extra = {k: v for k, v in raw.items() if k not in _FIELD_SET}
         return cls(**known, extra=extra)
 
 

@@ -4,6 +4,12 @@ Edit counts come from a word-level Levenshtein DP that minimizes total
 edits first and insertions+deletions second. Because deletions minus
 insertions is fixed by the two lengths, that double objective pins down
 the (S, D, I) split uniquely, independent of backtrace order.
+
+Each DP cell stores that pair as one int, ``total * w + (deletions +
+insertions)`` with ``w = len(h) + len(r) + 1``. Deletions plus insertions
+never exceed ``len(h) + len(r) < w``, so int order is exactly the pairs'
+lexicographic order and ``divmod(cell, w)`` decodes a cell. A substitution
+adds ``w``; an insertion or a deletion adds ``w + 1``.
 """
 
 from __future__ import annotations
@@ -26,22 +32,25 @@ def word_edit_distance(hyp: str, ref: str) -> Tuple[int, int, int]:
     h = normalize_text(hyp).split()
     r = normalize_text(ref).split()
     nh, nr = len(h), len(r)
-    # dp[j] = (total edits, deletions + insertions) for current h prefix vs r[:j]
-    dp = [(j, j) for j in range(nr + 1)]
-    for i in range(1, nh + 1):
-        prev_diag = dp[0]
-        dp[0] = (i, i)
-        for j in range(1, nr + 1):
-            if h[i - 1] == r[j - 1]:
-                best = prev_diag
-            else:
-                sub = (prev_diag[0] + 1, prev_diag[1])
-                ins = (dp[j][0] + 1, dp[j][1] + 1)        # extra hyp word
-                dele = (dp[j - 1][0] + 1, dp[j - 1][1] + 1)  # missing ref word
-                best = min(sub, ins, dele)
-            prev_diag = dp[j]
-            dp[j] = best
-    total, di = dp[nr]
+    w = nh + nr + 1
+    step = w + 1  # one insertion or deletion
+    # row[j] encodes (total edits, deletions + insertions) for h[:i] vs r[:j]
+    row = list(range(0, (nr + 1) * step, step))
+    for i, word in enumerate(h, 1):
+        left = i * step
+        new = [left]
+        for diag, up, ref_word in zip(row, row[1:], r):
+            if word == ref_word:
+                left = diag
+            else:  # min(left + step, up + step, diag + w), without tuples
+                if up < left:
+                    left = up
+                if diag <= left:
+                    left = diag - 1
+                left += step
+            new.append(left)
+        row = new
+    total, di = divmod(row[nr], w)
     # D - I == nr - nh exactly, so the pair (di, nr - nh) solves for both.
     deletions = (di + (nr - nh)) // 2
     insertions = di - deletions

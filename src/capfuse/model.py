@@ -102,6 +102,8 @@ class DecodeConfig:
             raise ValueError(f"unknown decode strategy {self.strategy!r}")
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
+        if self.max_decode_len < 1:
+            raise ValueError(f"max_decode_len must be >= 1, got {self.max_decode_len}")
         if not math.isfinite(self.length_penalty) or abs(self.length_penalty) * \
                 math.log(max(self.max_decode_len, 2)) > 700:  # length**alpha overflows
             raise ValueError(f"length_penalty must be finite, with max_decode_len ** "

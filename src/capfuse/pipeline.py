@@ -104,6 +104,8 @@ class CorrectionResult:
     @classmethod
     def from_json(cls, line: str) -> "CorrectionResult":
         raw = json.loads(line)
+        if type(raw) is not dict:
+            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
         return cls(
             sample_id=raw["sample_id"],
             original=raw["original"],
@@ -121,8 +123,16 @@ def write_results(path, results) -> None:
 
 
 def read_results(path) -> List[CorrectionResult]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [CorrectionResult.from_json(line) for line in lines if line.strip()]
+    results = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            results.append(CorrectionResult.from_json(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}:{lineno}: bad results record: {what}") from exc
+    return results
 
 
 def filter_change_detail(provider: SimilarityProvider, feat: ImageFeature,

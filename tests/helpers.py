@@ -1,8 +1,9 @@
 """Independent oracles shared across test modules.
 
 These deliberately avoid the code paths they check: finite differences
-only use forward evaluation, the edit-distance oracle is a plain memoized
-recursion, and the fusion oracle is straight-line numpy.
+only use forward evaluation, the edit-distance oracles are a plain memoized
+recursion and a DP over (total, deletions + insertions) tuples, and the
+fusion oracle is straight-line numpy.
 """
 
 from functools import lru_cache
@@ -10,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from capfuse import no_grad
+from capfuse.text import normalize_text
 
 
 def finite_difference(loss_fn, tensor, step=1e-5):
@@ -52,6 +54,32 @@ def brute_force_edit_distance(hyp_words, ref_words):
         return 1 + min(go(i + 1, j + 1), go(i + 1, j), go(i, j + 1))
 
     return go(0, 0)
+
+
+def tuple_word_edit_distance(hyp, ref):
+    """(S, D, I) from a DP whose cells are (total edits, deletions + insertions)
+    tuples compared lexicographically: the alignment rule of
+    ``word_edit_distance``, without its integer encoding."""
+    h = normalize_text(hyp).split()
+    r = normalize_text(ref).split()
+    nh, nr = len(h), len(r)
+    dp = [(j, j) for j in range(nr + 1)]
+    for i in range(1, nh + 1):
+        prev_diag = dp[0]
+        dp[0] = (i, i)
+        for j in range(1, nr + 1):
+            if h[i - 1] == r[j - 1]:
+                best = prev_diag
+            else:
+                sub = (prev_diag[0] + 1, prev_diag[1])
+                ins = (dp[j][0] + 1, dp[j][1] + 1)        # extra hyp word
+                dele = (dp[j - 1][0] + 1, dp[j - 1][1] + 1)  # missing ref word
+                best = min(sub, ins, dele)
+            prev_diag = dp[j]
+            dp[j] = best
+    total, di = dp[nr]
+    deletions = (di + (nr - nh)) // 2
+    return total - di, deletions, di - deletions
 
 
 def straight_line_fusion(h_text, h_image, fuse_w, fuse_b, gate_w, gate_b,

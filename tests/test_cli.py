@@ -232,6 +232,80 @@ def test_evaluate_results_rejects_manifest_with_duplicate_ids(tmp_path, capsys):
     assert f"{manifest}:6: duplicate sample id 't2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_correct_rejects_max_decode_len_below_one(tmp_path, capsys, value):
+    results = tmp_path / "res.jsonl"
+    capsys.readouterr()
+    assert run("correct", "--manifest", _toy_manifest(tmp_path), "--variant", "original",
+               "--split", "all", "--max-decode-len", value, "--out", results) == 2
+    err = capsys.readouterr().err
+    assert f"max_decode_len must be >= 1, got {value}" in err
+    assert "Traceback" not in err
+    assert not results.exists()
+
+
+@pytest.mark.parametrize("line", ['["a", "b"]', '"just a string"'])
+def test_evaluate_rejects_manifest_line_that_is_not_an_object(tmp_path, capsys, line):
+    manifest = _toy_manifest(tmp_path)
+    results = tmp_path / "orig.jsonl"
+    assert run("correct", "--manifest", manifest, "--variant", "original",
+               "--split", "all", "--out", results) == 0
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    capsys.readouterr()
+    assert run("evaluate", "--results", results, "--manifest", manifest) == 2
+    assert f"{manifest}:9: bad manifest record: expected a JSON object" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, detail", [
+    ("garbage", "Expecting value"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('{"sample_id": "t0", "original": "a"}', "missing key 'stage_outputs'"),
+    ('{"sample_id": "t0", "original": "a", "stage_outputs": [1], "final": "a", '
+     '"filter_decisions": []}', "bad results record"),
+])
+def test_evaluate_rejects_bad_results_line_naming_file_and_line(tmp_path, capsys,
+                                                                 line, detail):
+    manifest = _toy_manifest(tmp_path)
+    results = tmp_path / "orig.jsonl"
+    assert run("correct", "--manifest", manifest, "--variant", "original",
+               "--split", "all", "--out", results) == 0
+    lines = results.read_text(encoding="utf-8").splitlines()
+    _write_lines(results, lines[:2] + [line] + lines[2:])
+    capsys.readouterr()
+    assert run("evaluate", "--results", results, "--manifest", manifest) == 2
+    err = capsys.readouterr().err
+    assert f"{results}:3: bad results record: " in err and detail in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_rejects_result_id_missing_from_manifest(tmp_path, capsys):
+    manifest = _toy_manifest(tmp_path)
+    results = tmp_path / "orig.jsonl"
+    assert run("correct", "--manifest", manifest, "--variant", "original",
+               "--split", "all", "--out", results) == 0
+    line = json.loads(results.read_text(encoding="utf-8").splitlines()[0])
+    line["sample_id"] = "zz"
+    with open(results, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line) + "\n")
+    capsys.readouterr()
+    assert run("evaluate", "--results", results, "--manifest", manifest) == 2
+    assert f"{results}: sample id 'zz' is not in {manifest}" in capsys.readouterr().err
+
+
+def test_evaluate_hyp_ref_line_count_mismatch_exits_2(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    _write_lines(hyp, ["a b c", "d e"])
+    _write_lines(ref, ["a b c"])
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run("evaluate", "--hyp", hyp, "--ref", ref, "--out", out) == 2
+    assert f"{hyp} has 2 lines but {ref} has 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _image_manifest(tmp_path, width):
     """The toy manifest with an image id per record, and a VECF file of
     ``width``-wide features for those ids."""

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -224,6 +225,34 @@ def test_manifest_bad_line_reports_location(tmp_path):
     path.write_text('{"id": "x"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="bad.jsonl:1"):
         read_manifest(path)
+
+
+@pytest.mark.parametrize("line", ['["a", "b"]', '"just a string"', "7", "null"])
+def test_manifest_line_that_is_not_an_object_reports_location(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "x", "source": "s", "reference": "r"}\n' + line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad.jsonl:2: .*expected a JSON object"):
+        read_manifest(path)
+
+
+def test_manifest_rewrite_keeps_field_order_and_splits_off_unknown_keys(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text(
+        '{"split": "test", "reference": "a c", "source": "a b", "id": "k1"}\n'
+        '{"extra": 1, "id": "k2", "zeta": [2], "source": "s", "reference": "r"}\n',
+        encoding="utf-8")
+    plain, unknown = read_manifest(path)
+    assert plain == SampleRecord(id="k1", source="a b", reference="a c", split="test")
+    assert plain.extra == {}
+    assert unknown.extra == {"extra": 1, "zeta": [2]}
+    write_manifest(path, [plain, unknown])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == plain.to_json()
+    fields = ["id", "source", "reference", "caption", "image_feature_id",
+              "start_time", "end_time", "split", "origin"]
+    assert list(json.loads(lines[0])) == fields
+    assert list(json.loads(lines[1])) == fields + ["extra", "zeta"]
 
 
 def test_manifest_rejects_duplicate_ids(tmp_path):

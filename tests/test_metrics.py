@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from capfuse.metrics import EvalReport, corpus_eval, word_edit_distance
 
-from helpers import brute_force_edit_distance
+from helpers import brute_force_edit_distance, tuple_word_edit_distance
 
 
 def test_identical_strings_zero_edits():
@@ -43,6 +44,25 @@ def test_totals_match_brute_force_oracle_on_random_pairs():
         # structural identities of any valid alignment
         assert d - i == len(ref) - len(hyp)
         assert s >= 0 and d >= 0 and i >= 0
+
+
+def test_split_matches_tuple_dp_on_every_pair_up_to_length_four():
+    strings = [" ".join(words) for n in range(5)
+               for words in itertools.product("abc", repeat=n)]
+    for hyp in strings:
+        for ref in strings:
+            assert word_edit_distance(hyp, ref) == tuple_word_edit_distance(hyp, ref), \
+                (hyp, ref)
+
+
+def test_split_matches_tuple_dp_on_random_pairs_up_to_thirty_words():
+    rng = np.random.default_rng(2024)
+    alphabet = ["a", "b", "c", "A", "B", "[sep]", "[SEP]", "d", "e", "fox"]
+    for _ in range(2000):
+        hyp = " ".join(rng.choice(alphabet, size=rng.integers(0, 31)))
+        ref = "  ".join(rng.choice(alphabet, size=rng.integers(0, 31)))
+        assert word_edit_distance(hyp, ref) == tuple_word_edit_distance(hyp, ref), \
+            (hyp, ref)
 
 
 def test_distance_swap_exchanges_deletions_and_insertions():

@@ -80,6 +80,13 @@ def test_decode_config_greedy_forces_beam_one():
         DecodeConfig(beam_size=0)
 
 
+@pytest.mark.parametrize("value", [0, -3])
+def test_decode_config_rejects_max_decode_len_below_one(value):
+    with pytest.raises(ValueError, match=f"max_decode_len must be >= 1, got {value}"):
+        DecodeConfig(max_decode_len=value)
+    assert DecodeConfig(max_decode_len=1).max_decode_len == 1
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 300.0, -300.0])
 def test_decode_config_rejects_length_penalty_out_of_float_range(value):
     # 40 ** 300 overflows a float and 40 ** -300 underflows to 0
