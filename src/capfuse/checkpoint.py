@@ -7,11 +7,13 @@ Layout (all integers little-endian uint32):
 
 from __future__ import annotations
 
+import math
 import struct
-from pathlib import Path
 from typing import Dict, Mapping, Sequence
 
 import numpy as np
+
+from .fileio import RecordReader, atomic_open
 
 MAGIC = b"CFCK"
 VERSION = 1
@@ -23,7 +25,7 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, params: Mapping[str, np.ndarray]) -> None:
     """Write named arrays in insertion order as float64 little-endian."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name, values in params.items():
@@ -37,29 +39,17 @@ def save_checkpoint(path, params: Mapping[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> Dict[str, np.ndarray]:
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
+    reader = RecordReader(path, CheckpointError, MAGIC, VERSION)
+    (count,) = reader.u32s()
     params: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        name = data[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        n_values = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        values = np.frombuffer(data, dtype="<f8", count=n_values, offset=offset)
-        offset += 8 * n_values
+        name = reader.text()
+        (ndim,) = reader.u32s()
+        shape = reader.u32s(ndim)
+        values = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8")
         params[name] = values.reshape(shape).astype(np.float64)
-    if offset != len(data):
-        raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes")
+    if reader.offset != len(reader.data):
+        raise CheckpointError(f"{path}: {len(reader.data) - reader.offset} trailing bytes")
     return params
 
 

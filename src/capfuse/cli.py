@@ -19,6 +19,7 @@ import numpy as np
 from .checkpoint import average_checkpoints, load_checkpoint, save_checkpoint
 from .data import (NoiseConfig, filter_by_similarity, generate_synthetic,
                    read_manifest, split_dataset, write_manifest)
+from .fileio import atomic_open
 from .fusion import GatedFusionLayer, ImageFeature
 from .gradcheck import audit_model
 from .metrics import corpus_eval
@@ -36,11 +37,23 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def _load_homophones(path: Optional[str]) -> Dict[str, List[str]]:
     if not path:
         return {}
-    table = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {word: list(confusables) for word, confusables in table.items()}
+    try:
+        table = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if type(table) is not dict or not all(type(confusables) is list and all(
+            type(word) is str for word in confusables) for confusables in table.values()):
+        raise ValueError(f"{path}: expected a JSON object mapping words to lists of strings")
+    return table
 
 
 def _provider_from(path: Optional[str]) -> CosineEmbeddingProvider:
@@ -93,7 +106,7 @@ def cmd_split(args) -> int:
     samples = read_manifest(args.manifest)
     ratios = tuple(float(r) for r in args.ratios.split(","))
     if len(ratios) != 3:
-        raise SystemExit(f"--ratios needs three comma-separated values, got {args.ratios!r}")
+        raise ValueError(f"--ratios needs three comma-separated values, got {args.ratios!r}")
     assigned = split_dataset(samples, ratios, seed=args.seed)
     write_manifest(args.out, assigned)
     counts = {name: sum(1 for s in assigned if s.split == name)
@@ -134,25 +147,20 @@ def _training_examples(samples, vocab, use_prompts: bool, features, max_len: int
 
 def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     samples = read_manifest(args.manifest)
     origin = "synthetic" if args.phase == "pretrain" else "annotated"
     train_samples = [s for s in samples if s.split == "train" and s.origin == origin]
     if not train_samples:
-        raise SystemExit(f"no train-split {origin} records in {args.manifest}")
+        raise ValueError(f"no train-split {origin} records in {args.manifest}")
 
     vocab_path = Path(args.vocab) if args.vocab else out_dir / "vocab.txt"
-    if vocab_path.exists():
-        vocab = Vocabulary.load(vocab_path)
-    else:
+    built = not vocab_path.exists()
+    if built:
         lines = [s.source for s in samples] + [s.reference for s in samples] \
             + [s.caption for s in samples if s.caption]
         vocab = build_vocab(lines)
-        vocab.save(vocab_path)
-        _log(f"train: built vocabulary of {len(vocab)} tokens at {vocab_path}")
-    # model directories are self-contained: correct loads vocab.txt from them
-    if vocab_path != out_dir / "vocab.txt":
-        vocab.save(out_dir / "vocab.txt")
+    else:
+        vocab = Vocabulary.load(vocab_path)
 
     config = _model_config_from_args(args, vocab_size=len(vocab))
     model = EncoderDecoderModel(config)
@@ -169,7 +177,16 @@ def cmd_train(args) -> int:
         train_samples, vocab, use_prompts=args.prompt, features=features,
         max_len=config.max_len, with_images=args.variant == "fusion")
     if not examples:
-        raise SystemExit("no training examples fit within max_len")
+        raise ValueError("no training examples fit within max_len")
+
+    # every input has been read and checked: only now does train write
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if built:
+        vocab.save(vocab_path)
+        _log(f"train: built vocabulary of {len(vocab)} tokens at {vocab_path}")
+    # model directories are self-contained: correct loads vocab.txt from them
+    if vocab_path != out_dir / "vocab.txt":
+        vocab.save(out_dir / "vocab.txt")
 
     recipe = TrainingRecipe(steps=args.steps, batch_size=args.batch_size,
                             lr=args.lr, seed=args.seed, ckpt_every=args.ckpt_every)
@@ -183,12 +200,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_avg_ckpt(args) -> int:
-    if args.ckpts:
-        paths = [Path(p) for p in args.ckpts]
-    else:
-        paths = sorted(Path(args.dir).glob("step-*.ckpt"))[-args.last:]
-        if not paths:
-            raise SystemExit(f"no step-*.ckpt files under {args.dir}")
+    paths = args.ckpts or sorted(Path(args.dir).glob("step-*.ckpt"))[-args.last:]
+    if not paths:
+        raise ValueError(f"no step-*.ckpt files under {args.dir}")
     averaged = average_checkpoints(paths)
     save_checkpoint(args.out, averaged)
     _log(f"avg-ckpt: averaged {len(paths)} checkpoints into {args.out}")
@@ -220,12 +234,12 @@ def cmd_correct(args) -> int:
     samples = [s for s in read_manifest(args.manifest)
                if args.split == "all" or s.split == args.split]
     if not samples:
-        raise SystemExit(f"no {args.split!r} samples in {args.manifest}")
+        raise ValueError(f"no {args.split!r} samples in {args.manifest}")
     features, _ = _load_features(args.features)
 
     vocab_dir = args.baseline_dir or args.prompt_dir or args.fusion_dir
     if vocab_dir is None and args.variant != "original":
-        raise SystemExit("correct: provide a model directory for the configured variant")
+        raise ValueError("correct: provide a model directory for the configured variant")
     vocab = Vocabulary.load(Path(vocab_dir) / "vocab.txt") if vocab_dir \
         else Vocabulary()
 
@@ -282,7 +296,8 @@ def cmd_evaluate(args) -> int:
     report = corpus_eval(pairs)
     print(report.summary())
     if args.out:
-        Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
+        with atomic_open(args.out) as fh:
+            fh.write(report.to_json() + "\n")
     return 0
 
 
@@ -331,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic corruption pairs")
     p.add_argument("--refs", required=True, help="reference transcripts, one per line")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--sub-rate", type=float, default=0.1, dest="sub_rate")
     p.add_argument("--del-rate", type=float, default=0.05, dest="del_rate")
     p.add_argument("--ins-rate", type=float, default=0.05, dest="ins_rate")
@@ -370,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="image feature width when no feature file is given")
     p.add_argument("--init-ckpt", dest="init_ckpt",
                    help="checkpoint to start from (finetune phase)")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=16, dest="batch_size")
+    p.add_argument("--steps", type=_positive_int, default=500)
+    p.add_argument("--batch-size", type=_positive_int, default=16, dest="batch_size")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--ckpt-every", type=int, default=0, dest="ckpt_every")
     p.add_argument("--seed", type=int, default=0)
@@ -380,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("avg-ckpt", help="average trailing checkpoints")
-    p.add_argument("--dir", help="directory holding step-*.ckpt files")
-    p.add_argument("--last", type=int, default=10)
-    p.add_argument("--ckpts", nargs="*", help="explicit checkpoint paths")
+    inputs = p.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--dir", help="directory holding step-*.ckpt files")
+    inputs.add_argument("--ckpts", nargs="+", help="explicit checkpoint paths")
+    p.add_argument("--last", type=_positive_int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_avg_ckpt)
 
@@ -397,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt-name", default="model.ckpt", dest="ckpt_name")
     p.add_argument("--features", help="VECF image features")
     p.add_argument("--embeddings", help="VECF text embeddings for the filter")
-    p.add_argument("--beam-size", type=int, default=4, dest="beam_size")
+    p.add_argument("--beam-size", type=_positive_int, default=4, dest="beam_size")
     p.add_argument("--max-decode-len", type=int, default=40, dest="max_decode_len")
     p.add_argument("--length-penalty", type=float, default=1.0, dest="length_penalty")
     p.add_argument("--out", required=True)
@@ -422,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=1e-4)
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--d-img", type=int, default=6, dest="d_img")
+    p.add_argument("--d-img", type=_positive_int, default=6, dest="d_img")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -437,10 +453,7 @@ def main(argv=None) -> int:
         parser.error("evaluate --results needs --manifest for references")
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        _log(f"error: missing input: {exc.filename or exc}")
-        return 2
-    except (KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         _log(f"error: {exc}")
         return 2
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from .fileio import atomic_open, read_jsonl
 from .similarity import SimilarityProvider
 
 SPLITS = ("train", "valid", "test")
@@ -60,10 +60,7 @@ class SampleRecord:
         return json.dumps(payload, ensure_ascii=False)
 
     @classmethod
-    def from_json(cls, line: str) -> "SampleRecord":
-        raw = json.loads(line)
-        if type(raw) is not dict:
-            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+    def from_dict(cls, raw: Dict) -> "SampleRecord":
         if raw.keys() <= _FIELD_SET:
             return cls(**raw)
         known = {name: raw[name] for name in _FIELDS if name in raw}
@@ -73,13 +70,7 @@ class SampleRecord:
 
 def read_manifest(path) -> List[SampleRecord]:
     records: Dict[str, SampleRecord] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = SampleRecord.from_json(line)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad manifest record: {exc}") from exc
+    for lineno, record in read_jsonl(path, SampleRecord.from_dict, "manifest"):
         if record.id in records:
             raise ValueError(f"{path}:{lineno}: duplicate sample id {record.id!r}")
         records[record.id] = record
@@ -87,9 +78,8 @@ def read_manifest(path) -> List[SampleRecord]:
 
 
 def write_manifest(path, records: Iterable[SampleRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(record.to_json() + "\n")
+    with atomic_open(path) as fh:
+        fh.writelines(record.to_json() + "\n" for record in records)
 
 
 def frame_midpoint(start: float, end: float) -> float:

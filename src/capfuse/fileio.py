@@ -1,0 +1,69 @@
+"""Atomic writes, and JSONL and binary readers whose errors name the file."""
+
+import json
+import os
+import struct
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write ``<path>.<pid>.tmp`` (plain ``open``, so the umask sets its mode),
+    then ``os.replace`` it over ``path``; on any failure, remove it instead."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_jsonl(path, parse, what: str):
+    """Yield ``(line number, parse(object))`` per non-blank line. A line that is
+    not a JSON object, or that ``parse`` rejects, is a ValueError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    raw = json.loads(line)
+                    if type(raw) is not dict:
+                        raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+                    record = parse(raw)
+                except (KeyError, TypeError, ValueError) as exc:
+                    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                    raise ValueError(f"{path}:{lineno}: bad {what} record: {detail}") from exc
+                yield lineno, record
+
+
+class RecordReader:
+    """Little-endian memoryview reads of a file that starts with ``magic`` and a
+    u32 ``version``; a bad read raises ``error`` naming the file and offset."""
+
+    def __init__(self, path, error, magic: bytes, version: int):
+        self.path, self.error, self.offset = path, error, 0
+        self.data = memoryview(Path(path).read_bytes())
+        found = bytes(self.take(len(magic)))
+        if found != magic:
+            raise error(f"{path}: bad magic {found!r}, expected {magic!r}")
+        (found_version,) = self.u32s()
+        if found_version != version:
+            raise error(f"{path}: unsupported version {found_version}")
+
+    def take(self, size: int) -> memoryview:
+        start, self.offset = self.offset, self.offset + size
+        if self.offset > len(self.data):
+            raise self.error(f"{self.path}: truncated at byte {len(self.data)}, offset {start}")
+        return self.data[start:self.offset]
+
+    def u32s(self, count: int = 1) -> tuple:
+        return struct.unpack(f"<{count}I", self.take(4 * count))
+
+    def text(self) -> str:  # u32 byte length, then UTF-8
+        (size,) = self.u32s()
+        try:
+            return str(self.take(size), "utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"{self.path}: bad UTF-8 at byte {self.offset - size}") from None

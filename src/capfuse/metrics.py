@@ -163,10 +163,10 @@ def corpus_eval(pairs: Sequence[Tuple[str, str, str]]) -> EvalReport:
         raise ValueError("corpus_eval: empty input")
     report = EvalReport()
     for sample_id, hyp, ref in pairs:
-        s, d, i = word_edit_distance(hyp, ref)
-        ref_words = len(normalize_text(ref).split())
-        exact = normalize_text(hyp) == normalize_text(ref)
+        # equal normalised texts are exactly the zero-edit alignments (tested)
+        ref = normalize_text(ref)
+        s, d, i = word_edit_distance(normalize_text(hyp), ref)
         report.sentences.append(SentenceScore(
             id=str(sample_id), substitutions=s, deletions=d, insertions=i,
-            ref_word_count=ref_words, exact_match=exact))
+            ref_word_count=len(ref.split()), exact_match=(s, d, i) == (0, 0, 0)))
     return report

@@ -19,6 +19,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
+from .fileio import atomic_open
 from .fusion import GatedFusionLayer, ImageFeature
 from .text import BOS_ID, EOS_ID, PAD_ID, TokenSequence
 
@@ -50,7 +51,7 @@ class ModelConfig:
 
     def save(self, path) -> None:
         """Flat key-value file, one ``key = value`` pair per line."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for f in fields(self):
                 fh.write(f"{f.name} = {getattr(self, f.name)}\n")
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Mapping, NamedTuple, Optional, Tuple
 
+from .fileio import atomic_open, read_jsonl
 from .fusion import ImageFeature, zero_feature
 from .model import DecodeConfig, EncoderDecoderModel, generate
 from .prompting import build_prompted_source
@@ -102,10 +102,7 @@ class CorrectionResult:
         return json.dumps(raw, ensure_ascii=False)
 
     @classmethod
-    def from_json(cls, line: str) -> "CorrectionResult":
-        raw = json.loads(line)
-        if type(raw) is not dict:
-            raise ValueError(f"expected a JSON object, got {type(raw).__name__}")
+    def from_dict(cls, raw: dict) -> "CorrectionResult":
         return cls(
             sample_id=raw["sample_id"],
             original=raw["original"],
@@ -117,22 +114,12 @@ class CorrectionResult:
 
 
 def write_results(path, results) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(result.to_json() + "\n")
+    with atomic_open(path) as fh:
+        fh.writelines(result.to_json() + "\n" for result in results)
 
 
 def read_results(path) -> List[CorrectionResult]:
-    results = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            results.append(CorrectionResult.from_json(line))
-        except (KeyError, TypeError, ValueError) as exc:
-            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"{path}:{lineno}: bad results record: {what}") from exc
-    return results
+    return [result for _, result in read_jsonl(path, CorrectionResult.from_dict, "results")]
 
 
 def filter_change_detail(provider: SimilarityProvider, feat: ImageFeature,

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Sequence
 
+from .fileio import atomic_open
+
 PAD_ID = 0
 BOS_ID = 1
 EOS_ID = 2
@@ -83,7 +85,7 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """One non-reserved token per line; line number = id - 5."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for token in self.id_to_token[len(RESERVED_TOKENS):]:
                 fh.write(token + "\n")
 

@@ -8,6 +8,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .fileio import atomic_open
 from .model import EncoderDecoderModel, train_step
 from .optim import Adam
 
@@ -45,14 +46,13 @@ def run_training(model: EncoderDecoderModel, examples: Sequence,
     A non-finite loss raises ValueError naming the step, before that step
     is logged or checkpointed.
 
-    The log gets one ``step loss lr`` line per step. With ``ckpt_every``
-    set, checkpoints land in ckpt_dir as step-NNNNNN.ckpt (final step
-    always included).
+    The log gets one ``step loss lr`` line per step, published once when
+    training ends or stops. With ``ckpt_every`` set, checkpoints land in
+    ckpt_dir as step-NNNNNN.ckpt (final step always included).
     """
     optimizer = Adam(model.named_params(), lr=recipe.lr)
     rng = np.random.default_rng(recipe.seed)
     losses: List[float] = []
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     if ckpt_dir is not None:
         Path(ckpt_dir).mkdir(parents=True, exist_ok=True)
     try:
@@ -62,13 +62,13 @@ def run_training(model: EncoderDecoderModel, examples: Sequence,
             if not np.isfinite(loss):
                 raise ValueError(f"training stopped at step {step}: loss is {loss}")
             losses.append(loss)
-            if log_fh:
-                log_fh.write(f"{step} {loss:.6f} {recipe.lr}\n")
             if ckpt_dir is not None and recipe.ckpt_every > 0 and (
                     step % recipe.ckpt_every == 0 or step == recipe.steps):
                 model.save_checkpoint(Path(ckpt_dir) / f"step-{step:06d}.ckpt")
     finally:
-        if log_fh:
-            log_fh.close()
+        if log_path:
+            with atomic_open(log_path) as fh:
+                fh.writelines(f"{step} {loss:.6f} {recipe.lr}\n"
+                              for step, loss in enumerate(losses, 1))
     model.eval()
     return losses

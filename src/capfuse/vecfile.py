@@ -8,10 +8,11 @@ Values are widened to float64 on load.
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 from typing import Dict, Mapping
 
 import numpy as np
+
+from .fileio import RecordReader, atomic_open
 
 MAGIC = b"VECF"
 VERSION = 1
@@ -23,7 +24,7 @@ class VecFileError(ValueError):
 
 def save_vectors(path, vectors: Mapping[str, np.ndarray], dim: int) -> None:
     """Write id -> vector records; every vector must have length ``dim``."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, dim))
         for key, vec in vectors.items():
@@ -39,23 +40,10 @@ def save_vectors(path, vectors: Mapping[str, np.ndarray], dim: int) -> None:
 
 def load_vectors(path) -> tuple[Dict[str, np.ndarray], int]:
     """Return ({id: float64 vector}, dimension)."""
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise VecFileError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    version, dim = struct.unpack_from("<II", data, 4)
-    if version != VERSION:
-        raise VecFileError(f"{path}: unsupported version {version}")
-    offset = 12
-    record_bytes = 4 * dim
+    reader = RecordReader(path, VecFileError, MAGIC, VERSION)
+    (dim,) = reader.u32s()
     vectors: Dict[str, np.ndarray] = {}
-    while offset < len(data):
-        (key_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        key = data[offset:offset + key_len].decode("utf-8")
-        offset += key_len
-        if offset + record_bytes > len(data):
-            raise VecFileError(f"{path}: truncated record for {key!r}")
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-        offset += record_bytes
-        vectors[key] = vec.astype(np.float64)
+    while reader.offset < len(reader.data):
+        key = reader.text()
+        vectors[key] = np.frombuffer(reader.take(4 * dim), dtype="<f4").astype(np.float64)
     return vectors, dim

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from capfuse.metrics import EvalReport, corpus_eval, word_edit_distance
+from capfuse.text import normalize_text
 
 from helpers import brute_force_edit_distance, tuple_word_edit_distance
 
@@ -99,6 +100,28 @@ def test_corpus_single_substitution_pair():
     report = corpus_eval([("1", "a b", "a c")])
     assert report.wer_percent == pytest.approx(50.0)
     assert report.ser_percent == pytest.approx(100.0)
+
+
+def test_corpus_scores_match_tuple_dp_and_normalised_equality():
+    # pieces whose lowering grows ("İ"), keeps a letter ("ß"), depends on
+    # position (final sigma), maps to [SEP], or is whitespace other than " "
+    pieces = ["a", "A", "b", "İ", "i̇", "ß", "ΣΑΣ", "σας", "[sep]", "[SEP]", "sep",
+              " ", "  ", "\t", "\u00a0", "x\u00a0y"]
+    rng = np.random.default_rng(17)
+    triples = []
+    for n in range(600):
+        hyp, ref = ("".join(rng.choice(pieces, size=rng.integers(0, 8)))
+                    for _ in range(2))
+        if n % 3 == 0:  # make exact matches common, up to case and spacing
+            hyp = ref.upper().replace(" ", "\t ")
+        triples.append((str(n), hyp, ref))
+    report = corpus_eval(triples)
+    for (_, hyp, ref), score in zip(triples, report.sentences):
+        sdi = (score.substitutions, score.deletions, score.insertions)
+        assert sdi == tuple_word_edit_distance(hyp, ref), (hyp, ref)
+        assert score.exact_match == (normalize_text(hyp) == normalize_text(ref))
+        assert score.ref_word_count == len(normalize_text(ref).split())
+    assert 0 < sum(s.exact_match for s in report.sentences) < len(triples)
 
 
 def test_corpus_empty_input_rejected():
