@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,3 +405,20 @@ def test_train_stops_on_non_finite_loss_and_writes_no_model(tmp_path, capsys):
     assert not (out_dir / "model.ckpt").exists()
     assert not (out_dir / "model.cfg").exists()
     assert not list(out_dir.glob("step-*.ckpt"))
+
+
+def test_cli_reproduces_golden_digests(tmp_path):
+    # the files, exit statuses and output of a fixed CLI sequence, as
+    # tests/data/make_cli_golden.py wrote them
+    path = Path(__file__).parent / "data" / "make_cli_golden.py"
+    spec = importlib.util.spec_from_file_location("make_cli_golden", path)
+    maker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(maker)
+    golden = json.loads(maker.OUT.read_text(encoding="utf-8"))
+    got = maker.run(tmp_path)
+    for want, have in zip(golden["commands"], got["commands"]):
+        assert have == want, want["name"]
+    assert len(got["commands"]) == len(golden["commands"])
+    differing = [name for name in sorted(golden["files"].keys() | got["files"].keys())
+                 if golden["files"].get(name) != got["files"].get(name)]
+    assert not differing, f"first differing file: {differing[0]} (of {len(differing)})"
