@@ -221,27 +221,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make_result(a_data * b_data, (a, b), bwd)
 
 
-def add_bias(a: Tensor, bias: Tensor) -> Tensor:
-    """Add a length-D bias vector to every position of a (... x D) tensor.
-
-    The fused equivalent of tiling the bias across the leading axes and
-    adding; the bias gradient sums over those axes. The last dim must
-    match exactly.
-    """
-    if bias.ndim != 1 or a.shape[-1] != bias.shape[0]:
-        raise ShapeError(
-            f"add_bias: bias must have shape ({a.shape[-1] if a.ndim else '?'},), "
-            f"got {bias.shape} against {a.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g, owned=True)
-        if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, bias.shape[0]).sum(axis=0), owned=True)
-
-    return _make_result(a.data + bias.data, (a, bias), bwd)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python constant (not differentiated w.r.t. c)."""
     c = float(c)
@@ -283,12 +262,14 @@ def relu(a: Tensor) -> Tensor:
     return _make_result(np.where(mask, a.data, 0.0), (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product, plus an optional length-N ``bias`` on every output row.
 
     Supported forms: 2-D x 2-D; stacked N-D x N-D with identical leading
     dims; and N-D x 2-D where the right operand (a weight matrix) is shared
-    across all leading dims. Inner dims must agree.
+    across all leading dims. Inner dims must agree. The bias is added in
+    place to the product, so an affine map is one tape entry; its gradient
+    sums over every leading axis.
     """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
@@ -298,19 +279,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     shared_rhs = bd.ndim == 2 and ad.ndim > 2
     if not shared_rhs and ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul: leading dimensions disagree, {a.shape} vs {b.shape}")
+    if bias is not None and bias.shape != (bd.shape[-1],):
+        raise ShapeError(f"matmul: bias must have shape ({bd.shape[-1]},), got {bias.shape} "
+                         f"against {a.shape} @ {b.shape}")
 
     def bwd(g):
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(g.reshape(-1, g.shape[-1]).sum(axis=0), owned=True)
         if a.requires_grad:
             a.accumulate_grad(g @ np.swapaxes(bd, -1, -2), owned=True)
         if b.requires_grad:
-            if shared_rhs:
-                k = ad.shape[-1]
-                n = g.shape[-1]
-                b.accumulate_grad(ad.reshape(-1, k).T @ g.reshape(-1, n), owned=True)
+            if shared_rhs:  # one product over every leading row
+                rows = ad.reshape(-1, ad.shape[-1])
+                b.accumulate_grad(rows.T @ g.reshape(-1, g.shape[-1]), owned=True)
             else:
                 b.accumulate_grad(np.swapaxes(ad, -1, -2) @ g, owned=True)
 
-    return _make_result(ad @ bd, (a, b), bwd)
+    out = ad @ bd
+    if bias is not None:
+        out += bias.data
+    return _make_result(out, (a, b) if bias is None else (a, b, bias), bwd)
 
 
 def concat_last_dim(a: Tensor, b: Tensor) -> Tensor:

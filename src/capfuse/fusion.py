@@ -85,8 +85,7 @@ class GatedFusionLayer:
         if feats.shape[-1] != self.d_img:
             raise ValueError(f"image feature dimension {feats.shape[-1]} does not match "
                              f"layer d_img {self.d_img}")
-        projected = ag.add_bias(ag.matmul(Tensor(feats), self.params["proj_w"]),
-                                self.params["proj_b"])
+        projected = ag.matmul(Tensor(feats), self.params["proj_w"], self.params["proj_b"])
         return ag.tile(projected, length, axis=1)
 
     def fuse(self, h_text: Tensor, h_image: Tensor) -> Tensor:
@@ -95,11 +94,9 @@ class GatedFusionLayer:
             raise ValueError(
                 f"fuse: text and image encodings differ, {h_text.shape} vs {h_image.shape}")
         joint = ag.concat_last_dim(h_text, h_image)
-        fused = ag.add_bias(ag.matmul(joint, self.params["fuse_w"]),
-                            self.params["fuse_b"])
+        fused = ag.matmul(joint, self.params["fuse_w"], self.params["fuse_b"])
         gate_in = ag.concat_last_dim(h_text, fused)
-        gate = self._gate(ag.add_bias(ag.matmul(gate_in, self.params["gate_w"]),
-                                      self.params["gate_b"]))
+        gate = self._gate(ag.matmul(gate_in, self.params["gate_w"], self.params["gate_b"]))
         return ag.add(h_text, ag.mul(gate, fused))
 
     def zero_gate(self) -> None:

@@ -123,6 +123,17 @@ def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
     return table
 
 
+def _pad_mask(pad: np.ndarray, causal: bool = False) -> np.ndarray:
+    """Additive attention mask over (B x K) key padding, at a shape that
+    broadcasts against (B, h, Q, K) scores: (B, 1, 1, K), or with ``causal``
+    (B, 1, K, K), which also switches off each query's future keys."""
+    mask = np.where(pad, _MASK_OFF, 0.0)[:, None, None, :]
+    if causal:
+        length = pad.shape[1]
+        mask = np.triu(np.full((length, length), _MASK_OFF), k=1)[None, None] + mask
+    return mask
+
+
 class EncoderDecoderModel:
     """Transformer encoder-decoder with an optional gated fusion stage."""
 
@@ -224,17 +235,16 @@ class EncoderDecoderModel:
         return ag.mul(x, Tensor(mask))
 
     def _affine(self, name: str, x: Tensor) -> Tensor:
-        return ag.add_bias(ag.matmul(x, self.params[f"{name}.w"]),
-                           self.params[f"{name}.b"])
+        return ag.matmul(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _embed(self, ids: np.ndarray) -> Tensor:
-        b, length = ids.shape
+        length = ids.shape[1]
         if length > self.config.max_len:
             raise ValueError(
                 f"sequence length {length} exceeds max_len {self.config.max_len}")
         emb = ag.scale(ag.embedding_lookup(self.params["embed"], ids),
                        math.sqrt(self.config.d_model))
-        pos = np.repeat(self.pos_table[None, :length], b, axis=0)
+        pos = np.broadcast_to(self.pos_table[:length], emb.shape)
         return self._maybe_dropout(ag.add(emb, Tensor(pos)))
 
     def _split_heads(self, x: Tensor) -> Tensor:
@@ -253,31 +263,16 @@ class EncoderDecoderModel:
         v = self._split_heads(self._affine(f"{name}.v", keys_values))
         dk = self.config.d_model // self.config.n_heads
         scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), dk ** -0.5)
-        scores = ag.add(scores, Tensor(mask))
+        scores = ag.add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
         context = ag.matmul(ag.softmax_last_dim(scores), v)
         return self._affine(f"{name}.o", self._merge_heads(context))
-
-    def _key_pad_mask(self, pad: np.ndarray, n_queries: int) -> np.ndarray:
-        """(B, h, Q, K) additive mask switching off padded keys."""
-        b, n_keys = pad.shape
-        mask = np.where(pad, _MASK_OFF, 0.0)[:, None, None, :]
-        return np.ascontiguousarray(
-            np.broadcast_to(mask, (b, self.config.n_heads, n_queries, n_keys)))
-
-    def _causal_mask(self, pad: np.ndarray) -> np.ndarray:
-        b, length = pad.shape
-        future = np.triu(np.full((length, length), _MASK_OFF), k=1)
-        mask = future[None, None] + np.where(pad, _MASK_OFF, 0.0)[:, None, None, :]
-        return np.ascontiguousarray(
-            np.broadcast_to(mask, (b, self.config.n_heads, length, length)))
 
     def encode_batch(self, src: np.ndarray,
                      features: Optional[np.ndarray] = None) -> Tensor:
         """Encoder stack over (B x L) ids, then the fusion layer if attached:
         it fuses the (B x d_img) ``features``, all zero when None."""
-        pad = src == PAD_ID
         x = self._embed(src)
-        mask = self._key_pad_mask(pad, src.shape[1])
+        mask = _pad_mask(src == PAD_ID)
         for i in range(self.config.n_enc_layers):
             base = f"enc{i}"
             attn = self._maybe_dropout(self._attention(f"{base}.self", x, x, mask))
@@ -304,10 +299,9 @@ class EncoderDecoderModel:
         if last_only and ag.grad_enabled():
             raise ValueError("decode_batch: last_only is not differentiable; "
                              "call it under no_grad")
-        tgt_pad = tgt_in == PAD_ID
         x = self._embed(tgt_in)
-        self_mask = self._causal_mask(tgt_pad)
-        cross_mask = self._key_pad_mask(src == PAD_ID, tgt_in.shape[1])
+        self_mask = _pad_mask(tgt_in == PAD_ID, causal=True)
+        cross_mask = _pad_mask(src == PAD_ID)
         for i in range(self.config.n_dec_layers):
             base = f"dec{i}"
             attn = self._maybe_dropout(self._attention(f"{base}.self", x, x, self_mask))

@@ -35,6 +35,8 @@ def test_matmul_projector_row_select():
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
         ag.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+    with pytest.raises(ShapeError, match=r"bias.*\(2,\), got \(3,\).*\(4, 3\).*\(3, 2\)"):
+        ag.matmul(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
 
 
 def test_matmul_gradients_match_finite_differences():
@@ -50,6 +52,13 @@ def test_matmul_batched_and_shared_rhs_gradients():
     b = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     fd_check(lambda: ag.tensor_sum(ag.tanh(ag.matmul(ag.matmul(a, b), w))), [a, b, w])
+    bias = Tensor(rng.normal(size=2), requires_grad=True)
+    fd_check(lambda: ag.tensor_sum(ag.tanh(ag.matmul(ag.matmul(a, b), w, bias))),
+             [a, b, w, bias])
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    v = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    fd_check(lambda: ag.tensor_sum(ag.tanh(ag.matmul(x, v, bias))), [x, v, bias])
+    np.testing.assert_array_equal(ag.matmul(x, v, bias).data, x.data @ v.data + bias.data)
 
 
 def test_tanh_at_zero():

@@ -228,6 +228,24 @@ def test_backward_releases_the_step_activations():
         gc.enable()
 
 
+def test_affine_map_is_one_tape_entry():
+    model = tiny_model(seed=26)
+    model.train()
+    ag.reset_tape()
+    x = ag.Tensor(np.random.default_rng(26).normal(size=(2, 3, 16)), requires_grad=True)
+    out = model._affine("enc0.ffn1", x)
+    assert len(ag.active_tape()) == 1
+    np.testing.assert_array_equal(
+        out.data, x.data @ model.params["enc0.ffn1.w"].data + model.params["enc0.ffn1.b"].data)
+    ag.reset_tape()
+    # an acceptance-shape step: V=56, d_model 64, 2+2 layers, batch 64
+    model = EncoderDecoderModel(ModelConfig(vocab_size=56, seed=26))
+    rng = np.random.default_rng(26)
+    pairs = [(rand_seq(rng, 5, 56), rand_seq(rng, 5, 56)) for _ in range(64)]
+    assert len(model.batch_loss(pairs)._tape) == 149
+    ag.reset_tape()
+
+
 def test_training_stops_on_non_finite_loss(tmp_path):
     model = tiny_model(seed=24)
     model.params["out.b"].data[5] = np.nan
