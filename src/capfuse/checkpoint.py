@@ -43,7 +43,9 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
     (count,) = reader.u32s()
     params: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = reader.text()
+        start, name = reader.offset, reader.text()
+        if name in params:
+            raise CheckpointError(f"{path}: duplicate name {name!r} in the entry at byte {start}")
         (ndim,) = reader.u32s()
         shape = reader.u32s(ndim)
         values = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8")

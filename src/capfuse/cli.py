@@ -19,7 +19,7 @@ import numpy as np
 from .checkpoint import average_checkpoints, load_checkpoint, save_checkpoint
 from .data import (NoiseConfig, filter_by_similarity, generate_synthetic,
                    read_manifest, split_dataset, write_manifest)
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 from .fusion import GatedFusionLayer, ImageFeature
 from .gradcheck import audit_model
 from .metrics import corpus_eval
@@ -47,7 +47,7 @@ def _load_homophones(path: Optional[str]) -> Dict[str, List[str]]:
     if not path:
         return {}
     try:
-        table = json.loads(Path(path).read_text(encoding="utf-8"))
+        table = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if type(table) is not dict or not all(type(confusables) is list and all(
@@ -74,7 +74,7 @@ def _load_features(path: Optional[str]) -> tuple[Dict[str, ImageFeature], int]:
 
 
 def cmd_synth(args) -> int:
-    references = Path(args.refs).read_text(encoding="utf-8").splitlines()
+    references = read_text(args.refs).splitlines()
     noise = NoiseConfig(
         substitution_rate=args.sub_rate, deletion_rate=args.del_rate,
         insertion_rate=args.ins_rate,
@@ -95,9 +95,8 @@ def cmd_filter(args) -> int:
     _, dropped = filter_by_similarity(subject, provider, threshold=args.threshold)
     dropped_ids = {id(s) for s in dropped}
     kept = [s for s in samples if id(s) not in dropped_ids]
-    write_manifest(args.out, kept)
-    if args.dropped_out:
-        write_manifest(args.dropped_out, dropped)
+    more = [(args.dropped_out, dropped)] if args.dropped_out else []
+    write_manifest(args.out, kept, *more)  # both files are published, or neither
     _log(f"filter: kept {len(kept)} of {len(samples)} at threshold {args.threshold}")
     return 0
 
@@ -287,8 +286,8 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"{args.results}: sample id {exc} is not in "
                              f"{args.manifest}") from None
     else:
-        hyp_lines = Path(args.hyp).read_text(encoding="utf-8").splitlines()
-        ref_lines = Path(args.ref).read_text(encoding="utf-8").splitlines()
+        hyp_lines = read_text(args.hyp).splitlines()
+        ref_lines = read_text(args.ref).splitlines()
         if len(hyp_lines) != len(ref_lines):
             raise ValueError(f"{args.hyp} has {len(hyp_lines)} lines but "
                              f"{args.ref} has {len(ref_lines)}")

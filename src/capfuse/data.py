@@ -8,6 +8,7 @@ record and written back on rewrite.
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -77,9 +78,13 @@ def read_manifest(path) -> List[SampleRecord]:
     return list(records.values())
 
 
-def write_manifest(path, records: Iterable[SampleRecord]) -> None:
-    with atomic_open(path) as fh:
-        fh.writelines(record.to_json() + "\n" for record in records)
+def write_manifest(path, records: Iterable[SampleRecord], *more) -> None:
+    """Write ``records`` to ``path``, and each further ``(path, records)``
+    pair in ``more``; no file is published unless all of them are written."""
+    with ExitStack() as stack:
+        for path, records in [(path, records), *more]:
+            fh = stack.enter_context(atomic_open(path))
+            fh.writelines(record.to_json() + "\n" for record in records)
 
 
 def frame_midpoint(start: float, end: float) -> float:

@@ -1,5 +1,7 @@
-"""Atomic writes, and JSONL and binary readers whose errors name the file."""
+"""Atomic writes, and text, JSONL and binary readers whose errors name the file."""
 
+import errno
+import io
 import json
 import os
 import struct
@@ -10,32 +12,44 @@ from pathlib import Path
 @contextmanager
 def atomic_open(path, mode: str = "w"):
     """Write ``<path>.<pid>.tmp`` (plain ``open``, so the umask sets its mode),
-    then ``os.replace`` it over ``path``; on any failure, remove it instead."""
+    then ``os.replace`` it over ``path``; on any failure, remove it instead.
+    A directory at ``path`` fails on entry, and errors name ``path``."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
+
+
+def read_text(path) -> str:
+    """The file as UTF-8 text; bytes that are not are a ValueError naming it."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
 
 
 def read_jsonl(path, parse, what: str):
     """Yield ``(line number, parse(object))`` per non-blank line. A line that is
     not a JSON object, or that ``parse`` rejects, is a ValueError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    raw = json.loads(line)
-                    if type(raw) is not dict:
-                        raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
-                    record = parse(raw)
-                except (KeyError, TypeError, ValueError) as exc:
-                    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                    raise ValueError(f"{path}:{lineno}: bad {what} record: {detail}") from exc
-                yield lineno, record
+    for lineno, line in enumerate(io.StringIO(read_text(path), newline=None), 1):
+        if line.strip():
+            try:
+                raw = json.loads(line)
+                if type(raw) is not dict:
+                    raise TypeError(f"expected a JSON object, got {type(raw).__name__}")
+                record = parse(raw)
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}:{lineno}: bad {what} record: {detail}") from exc
+            yield lineno, record
 
 
 class RecordReader:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 from .fusion import GatedFusionLayer, ImageFeature
 from .text import BOS_ID, EOS_ID, PAD_ID, TokenSequence
 
@@ -65,7 +64,7 @@ class ModelConfig:
         """
         types = get_type_hints(cls)
         found: Dict[str, float] = {}
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -124,9 +123,8 @@ def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
 
 
 def _pad_mask(pad: np.ndarray, causal: bool = False) -> np.ndarray:
-    """Additive attention mask over (B x K) key padding, at a shape that
-    broadcasts against (B, h, Q, K) scores: (B, 1, 1, K), or with ``causal``
-    (B, 1, K, K), which also switches off each query's future keys."""
+    """Additive mask of (B x K) key padding, broadcastable to (B, h, Q, K) scores:
+    (B, 1, 1, K), or (B, 1, K, K) with ``causal``, which also masks future keys."""
     mask = np.where(pad, _MASK_OFF, 0.0)[:, None, None, :]
     if causal:
         length = pad.shape[1]

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, List, Sequence
 
-from .fileio import atomic_open
+from .fileio import atomic_open, read_text
 
 PAD_ID = 0
 BOS_ID = 1
@@ -91,7 +90,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        tokens = Path(path).read_text(encoding="utf-8").splitlines()
+        tokens = read_text(path).splitlines()
         return cls(id_to_token=list(RESERVED_TOKENS) + tokens)
 
 

@@ -44,6 +44,8 @@ def load_vectors(path) -> tuple[Dict[str, np.ndarray], int]:
     (dim,) = reader.u32s()
     vectors: Dict[str, np.ndarray] = {}
     while reader.offset < len(reader.data):
-        key = reader.text()
+        start, key = reader.offset, reader.text()
+        if key in vectors:
+            raise VecFileError(f"{path}: duplicate id {key!r} in the record at byte {start}")
         vectors[key] = np.frombuffer(reader.take(4 * dim), dtype="<f4").astype(np.float64)
     return vectors, dim

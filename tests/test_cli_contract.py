@@ -55,6 +55,19 @@ def root(tmp_path):
                         ("nested", {"plant": [1]}), ("string", {"plant": "plan"})]:
         (root / f"{name}.json").write_text(json.dumps(value), encoding="utf-8")
     (root / "broken.json").write_text("{", encoding="utf-8")
+    # text that is not UTF-8, in every kind of text file a command reads
+    (root / "bad.txt").write_bytes(b"the red fox\nbad \xff\n")
+    (root / "bad.json").write_bytes(b'{"plant": ["pl\xffan"]}')
+    (root / "bad.jsonl").write_bytes((root / "m.jsonl").read_bytes() + b'{"id": "\xff"}\n')
+    for name in ("model.cfg", "vocab.txt"):
+        shutil.copytree(model, root / f"bad-{name}")
+        (root / f"bad-{name}" / name).write_bytes(b"\xff\n")
+    # a record repeated: the first feature again, and one checkpoint entry twice
+    blob = (root / "img.vecf").read_bytes()
+    (root / "dup.vecf").write_bytes(blob + blob[12:12 + 4 + len("img0") + 4 * 4])
+    save_checkpoint(tmp_path / "one.ckpt", {"w": np.ones(3)})
+    entry = (tmp_path / "one.ckpt").read_bytes()[12:]
+    (root / "dup.ckpt").write_bytes(b"CFCK" + struct.pack("<II", 1, 2) + entry + entry)
     return root
 
 
@@ -76,6 +89,7 @@ def _check(root, capsys, argv, needle):
     before = _snapshot(root)
     status, err = _run([a.format(r=root) for a in argv], capsys)
     assert "Traceback" not in err
+    assert ".tmp" not in err  # errors name the target, never the temporary file
     assert status == 2, err
     assert needle.format(r=root) in err
     assert _snapshot(root) == before
@@ -179,6 +193,39 @@ CASES = {
     "correct --features cut": (ORIGINAL + ["--features", "{r}/cut.vecf"], "{r}/cut.vecf"),
     "avg-ckpt --ckpts flipped": (AVG + ["--ckpts", "{r}/flipped.ckpt"],
                                  "{r}/flipped.ckpt"),
+    # text that is not UTF-8
+    "synth --refs not UTF-8": (SYNTH + ["--refs", "{r}/bad.txt"],
+                               "{r}/bad.txt: not valid UTF-8 at byte 16"),
+    "synth --homophones not UTF-8": (SYNTH + ["--homophones", "{r}/bad.json"],
+                                     "{r}/bad.json: not valid UTF-8 at byte 14"),
+    "split --manifest not UTF-8": (SPLIT + ["--manifest", "{r}/bad.jsonl"],
+                                   "{r}/bad.jsonl: not valid UTF-8"),
+    "evaluate --results not UTF-8": (EVAL_RESULTS + ["--results", "{r}/bad.jsonl"],
+                                     "{r}/bad.jsonl: not valid UTF-8"),
+    "train --vocab not UTF-8": (TRAIN + ["--vocab", "{r}/bad.txt"], "{r}/bad.txt"),
+    "train --config not UTF-8": (TRAIN + ["--config", "{r}/bad.txt"], "{r}/bad.txt"),
+    "correct model.cfg not UTF-8": (CORRECT + ["--baseline-dir", "{r}/bad-model.cfg"],
+                                    "{r}/bad-model.cfg/model.cfg: not valid UTF-8"),
+    "correct vocab.txt not UTF-8": (CORRECT + ["--baseline-dir", "{r}/bad-vocab.txt"],
+                                    "{r}/bad-vocab.txt/vocab.txt: not valid UTF-8"),
+    "evaluate --hyp not UTF-8": (EVAL_TEXT + ["--hyp", "{r}/bad.txt"], "{r}/bad.txt"),
+    "evaluate --ref not UTF-8": (EVAL_TEXT + ["--ref", "{r}/bad.txt"], "{r}/bad.txt"),
+    # two outputs: both are published, or neither
+    "filter --dropped-out in missing dir": (
+        FILTER + ["--dropped-out", "{r}/nodir/d.jsonl"], "{r}/nodir/d.jsonl"),
+    "filter --out dir with --dropped-out": (
+        FILTER + ["--out", "{r}/adir", "--dropped-out", "{r}/d.jsonl"], "{r}/adir"),
+    # a repeated id or name
+    "filter --embeddings repeated id": (
+        FILTER + ["--embeddings", "{r}/dup.vecf"],
+        "{r}/dup.vecf: duplicate id 'img0' in the record at byte 108"),
+    "correct --features repeated id": (ORIGINAL + ["--features", "{r}/dup.vecf"],
+                                       "{r}/dup.vecf: duplicate id 'img0'"),
+    "avg-ckpt --ckpts repeated name": (
+        AVG + ["--ckpts", "{r}/dup.ckpt"],
+        "{r}/dup.ckpt: duplicate name 'w' in the entry at byte 49"),
+    "train --init-ckpt repeated name": (TRAIN + ["--init-ckpt", "{r}/dup.ckpt"],
+                                        "{r}/dup.ckpt: duplicate name 'w'"),
 }
 
 
