@@ -10,7 +10,8 @@ gradient on and is left with None. A fresh tape is started automatically
 after the previous one is consumed, so ordinary training loops never
 manage tapes explicitly. No implicit broadcasting: elementwise ops
 require identical shapes, and expansion goes through the explicit
-``tile`` op.
+``tile`` op. The one exception is ``attention``, which adds its constant
+additive mask to the (B, h, Q, K) scores by broadcasting.
 """
 
 from __future__ import annotations
@@ -328,17 +329,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _make_result(a.data.reshape(shape), (a,), bwd)
 
 
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.transpose(g, inverse))
-
-    return _make_result(np.ascontiguousarray(np.transpose(a.data, axes)), (a,), bwd)
-
-
 def tile(a: Tensor, n: int, axis: int = 0) -> Tensor:
     """Insert a new axis of length n at ``axis`` by repetition.
 
@@ -367,18 +357,48 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _make_result(np.asarray(a.data.sum()), (a,), bwd)
 
 
-def softmax_last_dim(a: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, n_heads: int) -> Tensor:
+    """softmax(q kᵀ / sqrt(dk) + mask) v per head of width dk = d / n_heads, for
+    (B, Q, d) queries over (B, K, d) keys and values, merged back to (B, Q, d).
+
+    One tape entry for the chain of head splits, products, scale, broadcast
+    constant ``mask``, softmax and head merge; each product, reduction and exp
+    sees the operand layout it had in that chain, so every result rounds alike."""
+    b, n_q, d = q.shape
+    n_k = k.shape[1]
+    if k.shape != (b, n_k, d) or v.shape != k.shape or d % n_heads:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} are not "
+                         f"(B, Q, d), (B, K, d) and (B, K, d) with {n_heads} heads dividing d")
+    dk = d // n_heads
+    c = dk ** -0.5
+    qh = np.ascontiguousarray(q.data.reshape(b, n_q, n_heads, dk).transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(k.data.reshape(b, n_k, n_heads, dk).transpose(0, 2, 3, 1))
+    vh = np.ascontiguousarray(v.data.reshape(b, n_k, n_heads, dk).transpose(0, 2, 1, 3))
+    scores = qh @ kt
+    scores *= c
+    scores += mask
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    context = np.ascontiguousarray((probs @ vh).transpose(0, 2, 1, 3))
 
     def bwd(g):
-        if a.requires_grad:
-            inner = (g * out_data).sum(axis=-1, keepdims=True)
-            a.accumulate_grad((g - inner) * out_data, owned=True)
+        # the merge's gradient as the strided view the chain's products took
+        g_context = g.reshape(b, n_q, n_heads, dk).transpose(0, 2, 1, 3)
+        if v.requires_grad:
+            g_vh = np.swapaxes(probs, -1, -2) @ g_context
+            v.accumulate_grad(g_vh.transpose(0, 2, 1, 3).reshape(b, n_k, d), owned=True)
+        g_scores = g_context @ np.swapaxes(vh, -1, -2)
+        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+        g_scores *= probs
+        g_scores *= c
+        if k.requires_grad:
+            g_kt = np.swapaxes(qh, -1, -2) @ g_scores
+            k.accumulate_grad(g_kt.transpose(0, 3, 1, 2).reshape(b, n_k, d), owned=True)
+        if q.requires_grad:
+            g_qh = g_scores @ np.swapaxes(kt, -1, -2)
+            q.accumulate_grad(g_qh.transpose(0, 2, 1, 3).reshape(b, n_q, d), owned=True)
 
-    return _make_result(out_data, (a,), bwd)
+    return _make_result(context.reshape(b, n_q, d), (q, k, v), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -387,12 +407,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    # the steps np.var takes, so the variance is bit-identical to it
+    # the steps np.mean and np.var take, so both are bit-identical to them
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) / d
     var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = centered * inv_std
-    out_data = x_hat * gain.data + bias.data
+    out_data = x_hat * gain.data
+    out_data += bias.data
 
     def bwd(g):
         if gain.requires_grad:

@@ -452,7 +452,7 @@ def main(argv=None) -> int:
         parser.error("evaluate --results needs --manifest for references")
     try:
         return args.func(args)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, MemoryError) as exc:
         _log(f"error: {exc}")
         return 2
 

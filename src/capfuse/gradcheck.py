@@ -65,10 +65,8 @@ def audit_params(loss_fn: Callable[[], float],
                  step: float = DEFAULT_STEP,
                  floor: float = DEFAULT_FLOOR) -> AuditResult:
     """Compare recorded autograd gradients against finite differences."""
-    per_param = {}
-    for name, p in params.items():
-        fd = fd_gradient(loss_fn, p, step)
-        per_param[name] = max_relative_error(autograd_grads[name], fd, floor)
+    per_param = {name: max_relative_error(autograd_grads[name], fd_gradient(loss_fn, p, step),
+                                          floor) for name, p in params.items()}
     return AuditResult(max_error=max(per_param.values()), per_param=per_param)
 
 

@@ -228,8 +228,7 @@ class EncoderDecoderModel:
         rate = self.config.dropout
         if not self.training or rate == 0.0:
             return x
-        keep = self.rng.random(x.shape) >= rate
-        mask = keep.astype(np.float64) / (1.0 - rate)
+        mask = (self.rng.random(x.shape) >= rate) / (1.0 - rate)  # kept positions, scaled
         return ag.mul(x, Tensor(mask))
 
     def _affine(self, name: str, x: Tensor) -> Tensor:
@@ -245,25 +244,13 @@ class EncoderDecoderModel:
         pos = np.broadcast_to(self.pos_table[:length], emb.shape)
         return self._maybe_dropout(ag.add(emb, Tensor(pos)))
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, length, d = x.shape
-        h = self.config.n_heads
-        return ag.transpose(ag.reshape(x, (b, length, h, d // h)), (0, 2, 1, 3))
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        b, h, length, dk = x.shape
-        return ag.reshape(ag.transpose(x, (0, 2, 1, 3)), (b, length, h * dk))
-
     def _attention(self, name: str, queries: Tensor, keys_values: Tensor,
                    mask: np.ndarray) -> Tensor:
-        q = self._split_heads(self._affine(f"{name}.q", queries))
-        k = self._split_heads(self._affine(f"{name}.k", keys_values))
-        v = self._split_heads(self._affine(f"{name}.v", keys_values))
-        dk = self.config.d_model // self.config.n_heads
-        scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), dk ** -0.5)
-        scores = ag.add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
-        context = ag.matmul(ag.softmax_last_dim(scores), v)
-        return self._affine(f"{name}.o", self._merge_heads(context))
+        q = self._affine(f"{name}.q", queries)
+        k = self._affine(f"{name}.k", keys_values)
+        v = self._affine(f"{name}.v", keys_values)
+        context = ag.attention(q, k, v, mask, self.config.n_heads)
+        return self._affine(f"{name}.o", context)
 
     def encode_batch(self, src: np.ndarray,
                      features: Optional[np.ndarray] = None) -> Tensor:

@@ -150,11 +150,7 @@ def run_variant(cfg: PipelineConfig, models: CorrectionModels,
                 samples, features: Optional[Mapping[str, ImageFeature]] = None
                 ) -> List[CorrectionResult]:
     """Run one Table-style correction variant over samples, in input order."""
-    features = features or {}
-    results = []
-    for sample in samples:
-        results.append(_run_sample(cfg, models, sample, features))
-    return results
+    return [_run_sample(cfg, models, sample, features or {}) for sample in samples]
 
 
 def _feature_for(sample: SampleRecord, features: Mapping[str, ImageFeature],
@@ -186,9 +182,7 @@ def _run_sample(cfg: PipelineConfig, models: CorrectionModels,
         return decoded
 
     if cfg.variant == "original":
-        stages.append(("original", source))
-        final = source
-        return CorrectionResult(sample.id, source, stages, final, decisions)
+        return CorrectionResult(sample.id, source, [("original", source)], source)
 
     text = source
     if cfg.variant in ("transformer", "transformer_then_fusion"):

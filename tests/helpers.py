@@ -2,15 +2,19 @@
 
 These deliberately avoid the code paths they check: finite differences
 only use forward evaluation, the edit-distance oracles are a plain memoized
-recursion and a DP over (total, deletions + insertions) tuples, and the
-fusion oracle is straight-line numpy.
+recursion and a DP over (total, deletions + insertions) tuples, the
+fusion oracle is straight-line numpy, and the attention oracle is the
+14-entry op chain that ``attention`` replaced.
 """
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
+from capfuse import autograd as ag
 from capfuse import no_grad
+from capfuse.autograd import Tensor, _make_result
 from capfuse.text import normalize_text
 
 
@@ -99,3 +103,46 @@ def all_derangements(n):
     """Brute-force enumeration of derangements of range(n)."""
     from itertools import permutations
     return [p for p in permutations(range(n)) if all(p[i] != i for i in range(n))]
+
+
+# The two ops the attention chain took, as the autograd core defined them.
+
+def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(np.transpose(g, inverse))
+
+    return _make_result(np.ascontiguousarray(np.transpose(a.data, axes)), (a,), bwd)
+
+
+def softmax_last_dim(a: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        if a.requires_grad:
+            inner = (g * out_data).sum(axis=-1, keepdims=True)
+            a.accumulate_grad((g - inner) * out_data, owned=True)
+
+    return _make_result(out_data, (a,), bwd)
+
+
+def attention_chain(q, k, v, mask, n_heads):
+    """Multi-head attention as 14 tape entries: split heads, transpose the
+    keys, scaled product, mask, softmax, product with the values, merge."""
+    def split(x):
+        b, length, d = x.shape
+        return transpose(ag.reshape(x, (b, length, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    dk = q.shape[2] // n_heads
+    scores = ag.scale(ag.matmul(qh, transpose(kh, (0, 1, 3, 2))), dk ** -0.5)
+    scores = ag.add(scores, Tensor(np.broadcast_to(mask, scores.shape)))
+    context = ag.matmul(softmax_last_dim(scores), vh)
+    b, h, length, dk = context.shape
+    return ag.reshape(transpose(context, (0, 2, 1, 3)), (b, length, h * dk))

@@ -4,7 +4,8 @@ import pytest
 import capfuse.autograd as ag
 from capfuse.autograd import GradientError, ShapeError, Tensor, backward
 
-from helpers import finite_difference, rel_error
+from capfuse.model import _pad_mask
+from helpers import attention_chain, finite_difference, rel_error
 
 
 def fd_check(build_loss, tensors, step=1e-5, tol=1e-6):
@@ -168,19 +169,70 @@ def test_layer_norm_gradients():
     fd_check(lambda: ag.tensor_sum(ag.tanh(ag.layer_norm(x, g, b))), [x, g, b])
 
 
-def test_softmax_tile_transpose_reshape_gradients():
+def test_attention_tile_reshape_gradients():
     rng = np.random.default_rng(17)
-    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    kv = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
     v = Tensor(rng.normal(size=4), requires_grad=True)
+    mask = _pad_mask(np.arange(5) >= 4 + np.arange(2)[:, None])  # one padded key in row 0
 
     def loss():
         tiled = ag.tile(v, 3, axis=0)           # (3, 4)
         tiled = ag.tile(tiled, 2, axis=0)       # (2, 3, 4)
-        mixed = ag.mul(ag.softmax_last_dim(x), tiled)
-        swapped = ag.transpose(mixed, (1, 0, 2))
-        return ag.tensor_sum(ag.tanh(ag.reshape(swapped, (6, 4))))
+        context = ag.attention(ag.mul(q, tiled), kv, ag.tanh(kv), mask, n_heads=2)
+        return ag.tensor_sum(ag.tanh(ag.reshape(context, (6, 4))))
 
-    fd_check(loss, [x, v])
+    fd_check(loss, [q, kv, v])
+
+
+def test_attention_shape_errors():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError, match="3 heads"):
+        ag.attention(x, x, x, np.zeros((2, 1, 1, 3)), n_heads=3)
+    with pytest.raises(ShapeError, match=r"\(2, 5, 4\)"):
+        ag.attention(x, x, Tensor(np.zeros((2, 5, 4))), np.zeros((2, 1, 1, 3)), n_heads=2)
+    with pytest.raises(ValueError, match="broadcast"):  # a mask that does not fit
+        ag.attention(x, x, x, np.zeros((2, 1, 1, 4)), n_heads=2)
+
+
+def _pad_mask_for(rng, batch, length, causal=False):
+    lengths = rng.integers(1, length + 1, size=batch)
+    return _pad_mask(np.arange(length) >= lengths[:, None], causal=causal)
+
+
+ATTENTION_CASES = {
+    # name: (batch, queries, keys, d_model, heads, mask builder)
+    "encoder self, padded": (64, 10, 10, 64, 4, lambda rng: _pad_mask_for(rng, 64, 10)),
+    "decoder self, causal": (64, 9, 9, 64, 4, lambda rng: _pad_mask_for(rng, 64, 9, True)),
+    "cross, Q != K": (64, 9, 10, 64, 4, lambda rng: _pad_mask_for(rng, 64, 10)),
+    "decode, one row": (1, 1, 7, 64, 4, lambda rng: _pad_mask_for(rng, 1, 7)),
+    "decode, beam rows": (4, 3, 7, 64, 4, lambda rng: _pad_mask_for(rng, 4, 7)),
+    "one head": (3, 4, 5, 8, 1, lambda rng: _pad_mask_for(rng, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("case, shared", [(case, False) for case in ATTENTION_CASES] + [
+    (case, True) for case, spec in ATTENTION_CASES.items() if spec[1] == spec[2]])
+def test_attention_is_bit_identical_to_the_op_chain(case, shared):
+    """Output and q, k, v gradients, also when one tensor is q, k and v."""
+    batch, n_q, n_k, d, heads, make_mask = ATTENTION_CASES[case]
+    rng = np.random.default_rng(28)
+    mask = make_mask(rng)
+    leaves = [rng.normal(size=(batch, n, d)) for n in (n_q, n_k, n_k)]
+    w_o, b_o = rng.normal(size=(d, d)), rng.normal(size=d)
+    weights = rng.normal(size=(batch, n_q, d))
+    results = []
+    for op in (attention_chain, ag.attention):
+        ag.reset_tape()
+        q, k, v = [Tensor(leaves[0] if shared else x, requires_grad=True) for x in leaves]
+        if shared:
+            k = v = q
+        context = op(q, k, v, mask, heads)
+        out = ag.matmul(context, Tensor(w_o, requires_grad=True), Tensor(b_o))
+        backward(ag.tensor_sum(ag.mul(out, Tensor(weights))))
+        results.append([context.data, q.grad, k.grad, v.grad])
+    for chain, fused in zip(*results):
+        assert np.array_equal(chain, fused)
 
 
 def test_embedding_lookup_gradients_scatter():

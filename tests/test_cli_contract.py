@@ -17,6 +17,9 @@ from capfuse.text import build_vocab
 from capfuse.vecfile import save_vectors
 
 
+HUGE = 10 ** 15
+
+
 @pytest.fixture
 def root(tmp_path):
     root = tmp_path / "contract"
@@ -62,6 +65,13 @@ def root(tmp_path):
     for name in ("model.cfg", "vocab.txt"):
         shutil.copytree(model, root / f"bad-{name}")
         (root / f"bad-{name}" / name).write_bytes(b"\xff\n")
+    # a model size no host can allocate: 10**15 positions
+    (root / "huge.cfg").write_text(f"max_len = {HUGE}\n", encoding="utf-8")
+    shutil.copytree(model, root / "hugemodel")
+    (root / "hugemodel" / "model.cfg").write_text(
+        (model / "model.cfg").read_text(encoding="utf-8").replace("max_len = 16",
+                                                                  f"max_len = {HUGE}"),
+        encoding="utf-8")
     # a record repeated: the first feature again, and one checkpoint entry twice
     blob = (root / "img.vecf").read_bytes()
     (root / "dup.vecf").write_bytes(blob + blob[12:12 + 4 + len("img0") + 4 * 4])
@@ -226,6 +236,13 @@ CASES = {
         "{r}/dup.ckpt: duplicate name 'w' in the entry at byte 49"),
     "train --init-ckpt repeated name": (TRAIN + ["--init-ckpt", "{r}/dup.ckpt"],
                                         "{r}/dup.ckpt: duplicate name 'w'"),
+    # a model size that cannot be allocated
+    "train --max-len too large to allocate": (TRAIN + ["--max-len", str(HUGE)],
+                                              "Unable to allocate"),
+    "train --config max_len too large to allocate": (
+        TRAIN + ["--config", "{r}/huge.cfg"], "Unable to allocate"),
+    "correct model.cfg max_len too large to allocate": (
+        CORRECT + ["--baseline-dir", "{r}/hugemodel"], "Unable to allocate"),
 }
 
 
